@@ -25,7 +25,7 @@ Run with::
 
 import argparse
 
-from repro.sweep import Ablation, ResultCache, default_runner
+from repro.sweep import Ablation, ResultCache, SweepRunner
 from repro.sweep.campaign import format_report, run_campaign, write_report
 
 
@@ -61,7 +61,7 @@ def main() -> None:
     print(campaign.describe())
 
     cache = ResultCache(args.artifacts)
-    runner = default_runner(jobs=args.jobs, cache=cache)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     def progress(member, group, done, total):
         print(f"  [{member}] {done}/{total} {group.label()}")

@@ -27,7 +27,7 @@ stress``, and any synthetic spec works wherever a workload name does, e.g.::
 import argparse
 
 from repro.experiments import synthetic_stress
-from repro.sweep import ResultCache, SweepSpec, default_runner
+from repro.sweep import ResultCache, SweepRunner, SweepSpec
 
 
 def horizon_spec() -> SweepSpec:
@@ -55,7 +55,7 @@ def main() -> None:
     args = parser.parse_args()
 
     cache = ResultCache(args.artifacts)
-    runner = default_runner(jobs=args.jobs, cache=cache)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     spec = horizon_spec()
     print(spec.describe())

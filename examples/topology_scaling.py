@@ -26,7 +26,7 @@ import argparse
 
 from repro.experiments.topology_scaling import (format_speedup_table,
                                                 topology_scaling_campaign)
-from repro.sweep import ResultCache, default_runner
+from repro.sweep import ResultCache, SweepRunner
 from repro.sweep.campaign import format_report, run_campaign, write_report
 
 
@@ -47,7 +47,7 @@ def main() -> None:
     print(campaign.describe())
 
     cache = ResultCache(args.artifacts)
-    runner = default_runner(jobs=args.jobs, cache=cache)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     def progress(member, group, done, total):
         print(f"  [{member}] {done}/{total} {group.label()}")

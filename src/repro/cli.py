@@ -190,7 +190,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _make_runner(args: argparse.Namespace):
     """Build the (runner, cache) pair shared by the sweep-backed commands."""
-    from repro.sweep import ResultCache, default_runner
+    from repro.sweep import ResultCache, SweepRunner
     from repro.sweep.cache import DEFAULT_CACHE_ROOT
 
     cache = None if args.no_cache else ResultCache(args.artifacts or DEFAULT_CACHE_ROOT)
@@ -201,11 +201,14 @@ def _make_runner(args: argparse.Namespace):
     retries = getattr(args, "retries", None)
     point_timeout = getattr(args, "point_timeout", None)
     if retries is not None or point_timeout is not None:
+        if args.jobs <= 1:
+            raise SystemExit("--retries and --point-timeout govern the worker "
+                             "pool; they need --jobs >= 2")
         from repro.sweep import RetryPolicy
         retry = RetryPolicy(max_retries=2 if retries is None else retries,
                             point_timeout_seconds=point_timeout)
-    return default_runner(jobs=args.jobs, cache=cache,
-                          trace_store=trace_store, retry=retry), cache
+    return SweepRunner(jobs=args.jobs, cache=cache, trace_store=trace_store,
+                       retry=retry, obs=_obs_settings(args)), cache
 
 
 def _print_artifacts(cache) -> None:
@@ -213,24 +216,17 @@ def _print_artifacts(cache) -> None:
         print(f"artifacts: {cache.root} ({len(cache)} cached points)")
 
 
-def _configure_obs(args: argparse.Namespace):
-    """Install process observability from ``--obs``/``--obs-dir``.
-
-    Returns ``(obs_root, restore)``; both are ``None`` when the flags are
-    absent.  ``restore`` puts the previous process-global observability
-    settings back (call it in a ``finally``).
-    """
+def _obs_settings(args: argparse.Namespace):
+    """Sweep telemetry from ``--obs``/``--obs-dir`` (``None`` when absent)."""
     obs_dir = getattr(args, "obs_dir", None)
     if not (getattr(args, "obs", False) or obs_dir):
-        return None, None
+        return None
     from repro.obs.io import DEFAULT_OBS_ROOT
-    from repro.sweep.runner import ObsSettings, configure_observability
+    from repro.sweep.runner import ObsSettings
 
-    root = str(obs_dir or DEFAULT_OBS_ROOT)
-    previous = configure_observability(ObsSettings(
-        root=root,
-        keep_recordings=bool(getattr(args, "obs_recordings", False))))
-    return root, lambda: configure_observability(previous)
+    return ObsSettings(
+        root=str(obs_dir or DEFAULT_OBS_ROOT),
+        keep_recordings=bool(getattr(args, "obs_recordings", False)))
 
 
 def _configure_faults(args: argparse.Namespace, cache):
@@ -475,7 +471,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(spec.describe())
 
     runner, cache = _make_runner(args)
-    obs_root, obs_restore = _configure_obs(args)
     faults_restore = _configure_faults(args, cache)
 
     def progress(point, result, was_cached):
@@ -485,17 +480,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         run = runner.run(spec, progress=progress)
     finally:
-        if obs_restore is not None:
-            obs_restore()
         if faults_restore is not None:
             faults_restore()
     print(run.summary())
-    store = getattr(runner, "trace_store", None)
-    if store is not None:
-        print(f"{run.trace_summary()} (store: {store.root})")
+    if runner.trace_store is not None:
+        print(f"{run.trace_summary()} (store: {runner.trace_store.root})")
     _print_resilience(run)
-    if obs_root is not None:
-        _print_telemetry(obs_root,
+    if runner.context.obs is not None:
+        _print_telemetry(runner.context.obs.root,
                          {point.point_id for point in spec.points()})
     _print_artifacts(cache)
     return 0
@@ -558,7 +550,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # action == "run"
     print(campaign.describe())
     runner, cache = _make_runner(args)
-    obs_root, obs_restore = _configure_obs(args)
     faults_restore = _configure_faults(args, cache)
 
     def progress(member, group, done, total):
@@ -567,13 +558,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         report = run_campaign(campaign, runner, progress=progress)
     finally:
-        if obs_restore is not None:
-            obs_restore()
         if faults_restore is not None:
             faults_restore()
     print(format_report(report))
-    if obs_root is not None:
-        _print_telemetry(obs_root)
+    if runner.context.obs is not None:
+        _print_telemetry(runner.context.obs.root)
     print(f"campaign totals: {report.recomputed_points} points recomputed, "
           f"{report.regenerated_traces} traces regenerated")
     if report.retried_points or report.corrupt_artifacts:
@@ -622,7 +611,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.action == "record":
         from repro.common.hashing import content_digest
-        from repro.sweep.runner import (ObsSettings, configure_observability,
+        from repro.sweep.runner import (ExecutionContext, ObsSettings,
                                         execute_point)
 
         params = {"workload": args.workload, "num_cores": args.cores,
@@ -636,11 +625,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         settings = ObsSettings(root=str(args.dir), capacity=args.capacity,
                                sample_interval=args.sample_interval,
                                module_spans=True, keep_recordings=True)
-        previous = configure_observability(settings)
-        try:
-            result = execute_point(params)
-        finally:
-            configure_observability(previous)
+        result = execute_point(params, ExecutionContext(obs=settings))
         digest = content_digest(params)
         print(f"recorded {params['workload']} "
               f"(makespan {result['makespan_cycles']} cycles) -> "

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.experiments import capacity, decode_rate, figure1, figure3, scaling, table1, table2
 from repro.sweep.cache import ResultCache
-from repro.sweep.runner import default_runner
+from repro.sweep.runner import SweepRunner
 
 
 def run_all(scale_factor: float = 1.0, quick: bool = False,
@@ -34,7 +34,7 @@ def run_all(scale_factor: float = 1.0, quick: bool = False,
         artifacts: Optional cache directory for sweep results.
     """
     cache = ResultCache(artifacts) if artifacts else None
-    runner = default_runner(jobs=jobs, cache=cache)
+    runner = SweepRunner(jobs=jobs, cache=cache)
     sections = []
 
     sections.append("== Table I: benchmark catalogue (measured/published) ==")

@@ -8,9 +8,10 @@ cacheable, parallelisable campaigns:
   it into deterministic :class:`~repro.sweep.spec.SweepPoint` s,
 * :class:`~repro.sweep.cache.ResultCache` content-addresses results on disk
   so repeated or interrupted sweeps never recompute a finished point,
-* :class:`~repro.sweep.runner.SerialRunner` and
-  :class:`~repro.sweep.runner.ParallelRunner` execute the points (the latter
-  over a ``multiprocessing`` pool) with bit-identical results,
+* :class:`~repro.sweep.runner.SweepRunner` executes the points, in-process
+  (``jobs <= 1``) or over a ``multiprocessing`` pool, with bit-identical
+  results; an explicit :class:`~repro.sweep.runner.ExecutionContext` carries
+  the trace store and telemetry settings to every point,
 * :mod:`repro.sweep.bench` pins a performance-tracking scenario suite on top
   (``repro bench run|compare``), reporting events/sec per ``BENCH_*.json``
   so hot-path regressions are caught by comparison with a tolerance,
@@ -20,9 +21,9 @@ cacheable, parallelisable campaigns:
   diffed against a declared baseline, and JSON/CSV reports under
   ``<artifacts>/campaigns/<campaign_id>/`` -- all incremental thanks to the
   result cache and trace store,
-* the runners pair with a :class:`~repro.trace.store.TraceStore`
+* the runner pairs with a :class:`~repro.trace.store.TraceStore`
   (``<artifacts>/traces``, derived from the result cache by default): the
-  parent bakes each distinct task trace once as a packed binary before
+  pool path bakes each distinct task trace once as a packed binary before
   fanning out, and every worker loads it by content address instead of
   regenerating (``SweepRun.trace_summary()`` reports the amortization).
 
@@ -34,11 +35,10 @@ from repro.sweep.campaign import (Ablation, Campaign, CampaignReport,
                                   aggregate_run, run_campaign)
 from repro.sweep.faults import (FaultPlan, configure_faults, parse_faults)
 from repro.sweep.resilience import RetryPolicy, RunJournal
-from repro.sweep.runner import (ParallelRunner, SerialRunner, SweepRun,
-                                adaptive_chunksize, configure_trace_store,
-                                default_runner, execute_point,
-                                resolve_trace_store, trace_for_params,
-                                workload_params)
+from repro.sweep.runner import (ExecutionContext, ObsSettings, SweepRun,
+                                SweepRunner, adaptive_chunksize,
+                                execute_point, resolve_trace_store,
+                                trace_for_params, workload_params)
 from repro.sweep.spec import (SweepPoint, SweepSpec, canonical_scalar,
                               parse_axis_value)
 from repro.trace.store import TraceStore
@@ -48,23 +48,22 @@ __all__ = [
     "Campaign",
     "CampaignReport",
     "DEFAULT_CACHE_ROOT",
+    "ExecutionContext",
     "FaultPlan",
-    "ParallelRunner",
+    "ObsSettings",
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "SerialRunner",
     "SweepPoint",
     "SweepRun",
+    "SweepRunner",
     "SweepSpec",
     "TraceStore",
     "adaptive_chunksize",
     "aggregate_run",
     "canonical_scalar",
     "configure_faults",
-    "configure_trace_store",
     "parse_faults",
-    "default_runner",
     "execute_point",
     "parse_axis_value",
     "resolve_trace_store",

@@ -2,10 +2,11 @@
 
 Two small, composable pieces:
 
-* :class:`RetryPolicy` -- how the :class:`~repro.sweep.runner.ParallelRunner`
-  reacts to a dead worker or a hung point: how many re-dispatches each point
-  gets, how long to back off before restarting the pool, and the per-point
-  wall-clock timeout that turns a straggler into a retry.
+* :class:`RetryPolicy` -- how the pool path of
+  :class:`~repro.sweep.runner.SweepRunner` (``jobs >= 2``) reacts to a dead
+  worker or a hung point: how many re-dispatches each point gets, how long
+  to back off before restarting the pool, and the per-point wall-clock
+  timeout that turns a straggler into a retry.
 * :class:`RunJournal` -- a crash-safe, atomically-appended JSONL record of
   every point's pending -> running -> done/failed transitions.  The journal
   is written *around* the work (one line per transition, each a single

@@ -1,28 +1,38 @@
-"""Execute sweep specs: serially, or fanned out over a worker pool.
+"""Execute sweep specs in-process or fanned out over a worker pool.
 
 :func:`execute_point` is the single entry point that turns one
 :class:`repro.sweep.spec.SweepPoint` into a
 :class:`repro.backend.system.SimulationResult`.  It is a module-level
 function taking only plain data, so it pickles cleanly into
 ``multiprocessing`` workers; every worker builds its own engine, frontend and
-backend, which is what keeps parallel execution bit-identical to serial
+backend, which is what keeps parallel execution bit-identical to in-process
 execution -- simulations share no mutable state, and the runner reassembles
 results in spec order regardless of completion order.
 
-Both runners consult an optional :class:`repro.sweep.cache.ResultCache`
-before simulating and persist each fresh result as soon as it arrives, so an
-interrupted sweep resumes from its last completed point.
+:class:`SweepRunner` is the one executor.  For every ``jobs`` value it
+consults an optional :class:`repro.sweep.cache.ResultCache` before
+simulating, simulates each distinct point once, persists each fresh result
+as soon as it arrives (so an interrupted sweep resumes from its last
+completed point) and journals every transition.  ``jobs <= 1`` executes the
+pending points in-process, in spec order; ``jobs >= 2`` fans them out over a
+process pool.
 
-Trace amortization: when a result cache is configured the runners also pair
+Execution context: what :func:`execute_point` needs beyond a point's
+parameters -- the trace store and the observability settings -- travels in
+an explicit :class:`ExecutionContext`.  In-process it is an argument; in the
+pool it goes with every submitted chunk.  Nothing is configured
+process-wide.
+
+Trace amortization: when a result cache is configured the runner also pairs
 with a :class:`repro.trace.store.TraceStore` (``<artifacts>/traces`` by
-default).  :class:`ParallelRunner` bakes each distinct trace once in the
-parent before fan-out; workers (and later runs, and other processes sharing
-the artifacts directory) load the packed file by content address instead of
+default).  The pool path bakes each distinct trace once in the parent
+before fan-out; workers (and later runs, and other processes sharing the
+artifacts directory) load the packed file by content address instead of
 regenerating it.  The per-process memo that backs :func:`trace_for_params`
 is keyed by the same canonical digest and its size is configurable via
 ``REPRO_TRACE_CACHE_SIZE``, so multi-workload grids no longer thrash it.
 
-Fault tolerance: :class:`ParallelRunner` runs on a
+Fault tolerance: the pool path runs on a
 ``concurrent.futures.ProcessPoolExecutor`` and treats a dead worker as a
 recoverable event -- completed points are already in the cache, the broken
 pool is replaced (with exponential backoff, see
@@ -67,23 +77,13 @@ _WORKLOAD_PREFIX = WORKLOAD_SECTION + "."
 #: ``REPRO_TRACE_CACHE_SIZE`` environment variable).
 DEFAULT_TRACE_CACHE_SIZE = 32
 
-#: Environment variable naming a trace-store root for worker processes and
-#: standalone :func:`execute_point` callers (runners configure theirs
-#: explicitly; the pool initializer uses this as its hand-off).
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-
-#: Environment variable naming an observability directory (the fallback for
-#: standalone :func:`execute_point` callers; the CLI and pool initializer
-#: configure observability explicitly).
-OBS_ENV = "REPRO_OBS_DIR"
-
 
 @dataclass(frozen=True)
 class ObsSettings:
     """Per-process observability configuration for sweep execution.
 
-    Plain data (it crosses the pool boundary in the worker initializer).
-    When active, :func:`execute_point` attaches a
+    Plain data (it crosses the pool boundary inside an
+    :class:`ExecutionContext`).  When given, :func:`execute_point` attaches a
     :class:`repro.obs.Observer` to each hardware simulation, writes a
     per-point telemetry summary to ``<root>/points/<digest>.json``, streams
     heartbeat progress events to ``<root>/heartbeats/`` and -- when
@@ -102,6 +102,23 @@ class ObsSettings:
     module_spans: bool = False
     keep_recordings: bool = False
     heartbeat_seconds: float = 5.0
+
+
+@dataclass(frozen=True)
+class ExecutionContext:
+    """Everything :func:`execute_point` needs beyond a point's parameters.
+
+    It pickles, so the runner passes it as an argument in-process and sends
+    it with every chunk it submits to the pool.  The store is the runner's
+    own :class:`TraceStore` (a root plus counters), so quarantines during an
+    in-process run show up in the runner's corrupt-artifact accounting.
+    """
+
+    #: Where traces are loaded from and baked into; ``None`` generates every
+    #: trace (memoized per process).
+    trace_store: Optional[TraceStore] = None
+    #: Per-point telemetry; ``None`` runs unobserved.
+    obs: Optional[ObsSettings] = None
 
 
 def build_point_config(params: Dict[str, ParamValue]):
@@ -161,25 +178,10 @@ TRACE_STATS = TraceStats()
 #: collide and the memo never diverges from the on-disk key space.
 _TRACE_MEMO: "OrderedDict[str, object]" = OrderedDict()
 
-_TRACE_STORE: Optional[TraceStore] = None
-
 #: ``(store_root, digest)`` pairs known to be present on disk, so memo hits
-#: ensure the active store is populated without re-reading its header every
-#: time (a store configured after the memo warmed up still gets baked).
+#: ensure the given store is populated without re-reading its header every
+#: time (a store first used after the memo warmed up still gets baked).
 _STORE_SEEN: set = set()
-
-#: True when the store was explicitly disabled (``trace_store=False``); keeps
-#: ``--no-trace-store`` from being silently overridden by the
-#: ``REPRO_TRACE_STORE`` environment variable.
-_TRACE_STORE_DISABLED = False
-
-#: Stores resolved from ``REPRO_TRACE_STORE``, memoized per root so the
-#: hit/miss counters persist across :func:`active_trace_store` calls without
-#: the env fallback mutating the explicitly-configured store.
-_ENV_STORES: Dict[str, TraceStore] = {}
-
-_OBS_SETTINGS: Optional[ObsSettings] = None
-_OBS_DISABLED = False
 
 
 def trace_cache_size() -> int:
@@ -196,80 +198,6 @@ def trace_cache_clear() -> None:
     """Drop the per-process trace memo (tests; memory pressure)."""
     _TRACE_MEMO.clear()
     _STORE_SEEN.clear()
-
-
-def configure_trace_store(store: Union[TraceStore, str, None, bool],
-                          ) -> Union[TraceStore, None, bool]:
-    """Set this process's trace store.
-
-    ``None`` clears it (the ``REPRO_TRACE_STORE`` environment variable may
-    then provide one); ``False`` disables it outright, env var included.
-    Returns the previous setting in the same vocabulary so callers can
-    restore it.
-    """
-    global _TRACE_STORE, _TRACE_STORE_DISABLED
-    previous = False if _TRACE_STORE_DISABLED else _TRACE_STORE
-    if store is False:
-        _TRACE_STORE, _TRACE_STORE_DISABLED = None, True
-    else:
-        if isinstance(store, (str, os.PathLike)):
-            store = TraceStore(store)
-        _TRACE_STORE, _TRACE_STORE_DISABLED = store, False
-    return previous
-
-
-def active_trace_store() -> Optional[TraceStore]:
-    """The trace store :func:`execute_point` will consult, if any.
-
-    An explicitly configured store wins; otherwise the ``REPRO_TRACE_STORE``
-    environment variable names one (the fallback for standalone
-    ``execute_point`` callers -- pool workers are configured through their
-    initializer, not the environment).  Explicitly disabled
-    (``configure_trace_store(False)``) means no store, env var included.
-    """
-    if _TRACE_STORE_DISABLED:
-        return None
-    if _TRACE_STORE is not None:
-        return _TRACE_STORE
-    root = os.environ.get(TRACE_STORE_ENV)
-    if not root:
-        return None
-    store = _ENV_STORES.get(root)
-    if store is None:
-        store = _ENV_STORES[root] = TraceStore(root)
-    return store
-
-
-def configure_observability(settings: Union[ObsSettings, str, None, bool],
-                            ) -> Union[ObsSettings, None, bool]:
-    """Set this process's sweep observability (mirrors the trace-store API).
-
-    ``None`` clears it (the ``REPRO_OBS_DIR`` environment variable may then
-    provide one); ``False`` disables it outright, env var included; a string
-    is shorthand for ``ObsSettings(root=...)`` with defaults.  Returns the
-    previous setting in the same vocabulary so callers can restore it.
-    """
-    global _OBS_SETTINGS, _OBS_DISABLED
-    previous = False if _OBS_DISABLED else _OBS_SETTINGS
-    if settings is False:
-        _OBS_SETTINGS, _OBS_DISABLED = None, True
-    else:
-        if isinstance(settings, (str, os.PathLike)):
-            settings = ObsSettings(root=str(settings))
-        _OBS_SETTINGS, _OBS_DISABLED = settings, False
-    return previous
-
-
-def active_obs_settings() -> Optional[ObsSettings]:
-    """The observability settings :func:`execute_point` will honour, if any."""
-    if _OBS_DISABLED:
-        return None
-    if _OBS_SETTINGS is not None:
-        return _OBS_SETTINGS
-    root = os.environ.get(OBS_ENV)
-    if not root:
-        return None
-    return ObsSettings(root=root)
 
 
 def trace_key_for_params(params: Dict[str, ParamValue],
@@ -305,7 +233,8 @@ def generate_trace_for_key(key_params: Dict[str, ParamValue]):
         seed=key_params["seed"], max_tasks=key_params["max_tasks"])
 
 
-def trace_for_params(params: Dict[str, ParamValue]):
+def trace_for_params(params: Dict[str, ParamValue],
+                     store: Optional[TraceStore] = None):
     """Resolve the trace for one point's parameters (memo -> store -> generate).
 
     The memo and the store share one canonical key
@@ -316,7 +245,6 @@ def trace_for_params(params: Dict[str, ParamValue]):
     are bit-identical to generated ones (pinned by the determinism suite).
     """
     key_params, digest = trace_key_for_params(params)
-    store = active_trace_store()
     trace = _TRACE_MEMO.get(digest)
     if trace is not None:
         _TRACE_MEMO.move_to_end(digest)
@@ -344,9 +272,9 @@ def trace_for_params(params: Dict[str, ParamValue]):
 
 def _ensure_stored(store: TraceStore, digest: str,
                    key_params: Dict[str, ParamValue], trace) -> None:
-    """Back-fill the active store from a memoized trace.
+    """Back-fill ``store`` from a memoized trace.
 
-    A store configured *after* the per-process memo warmed up (e.g. a second
+    A store first used *after* the per-process memo warmed up (e.g. a second
     campaign in the same process pointed at a fresh artifacts dir) would
     otherwise never receive the trace while the run still reported it as
     'reused' -- leaving later fleets to regenerate.  The ``_STORE_SEEN`` memo
@@ -360,17 +288,20 @@ def _ensure_stored(store: TraceStore, digest: str,
     _STORE_SEEN.add(key)
 
 
-def execute_point(point_params: Dict[str, ParamValue]) -> Dict:
+def execute_point(point_params: Dict[str, ParamValue],
+                  context: ExecutionContext = ExecutionContext()) -> Dict:
     """Simulate one sweep point and return the result as plain JSON data.
 
     Takes and returns plain dicts (not dataclasses) so the function can cross
     process boundaries regardless of the multiprocessing start method.
+    ``context`` names the trace store and the telemetry settings; the
+    default uses neither.
     """
     params = dict(point_params)
     config = build_point_config(params)
-    trace = trace_for_params(params)
+    trace = trace_for_params(params, context.trace_store)
     system_kind = params.get("system", "hardware")
-    obs = active_obs_settings()
+    obs = context.obs
     observer = heartbeats = digest = None
     if obs is not None and system_kind == "hardware":
         # Telemetry is hardware-frontend instrumentation; software-runtime
@@ -443,7 +374,7 @@ def _write_point_telemetry(obs: ObsSettings, digest: str,
 
 
 def _execute_chunk(payloads: List[Tuple[int, Dict[str, ParamValue]]],
-                   ) -> List[Tuple[int, Dict]]:
+                   context: ExecutionContext) -> List[Tuple[int, Dict]]:
     """Worker entry point: execute one dispatched chunk of indexed points.
 
     This is also where the process-fatal fault injections live
@@ -460,7 +391,7 @@ def _execute_chunk(payloads: List[Tuple[int, Dict[str, ParamValue]]],
         fault = fire_fault("slow_point", point=index)
         if fault is not None:
             time.sleep(fault.seconds)
-        out.append((index, execute_point(params)))
+        out.append((index, execute_point(params, context)))
     return out
 
 
@@ -473,13 +404,13 @@ class SweepRun:
     results: List[SimulationResult]
     computed_count: int
     cached_count: int
-    #: Parent-side trace accounting.  For :class:`SerialRunner` this counts
+    #: Parent-side trace accounting.  In-process (``jobs <= 1``) this counts
     #: every trace the run generated (cold bakes, or plain generation when no
-    #: store is configured); for :class:`ParallelRunner` it counts the
-    #: parent's pre-fan-out bakes -- with a store, workers never regenerate,
-    #: so 0 means every needed trace was already baked.  A *store-less*
-    #: parallel run regenerates inside the workers, which the parent cannot
-    #: observe; both counters stay 0 there.
+    #: store is configured); on the pool path it counts the parent's
+    #: pre-fan-out bakes -- with a store, workers never regenerate, so 0
+    #: means every needed trace was already baked.  A *store-less* pool run
+    #: regenerates inside the workers, which the parent cannot observe; both
+    #: counters stay 0 there.
     trace_generated: int = 0
     #: Traces answered without regeneration (packed-store loads + memo hits),
     #: counted parent-side under the same caveat as ``trace_generated``.
@@ -599,84 +530,6 @@ def _integrity_since(base: Tuple[int, int], cache: Optional[ResultCache],
     return (cache_now - base[0]) + (store_now - base[1]), paths
 
 
-class SerialRunner:
-    """Run every point in-process, in spec order (the reference executor)."""
-
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 trace_store: Union[TraceStore, str, None, bool] = None,
-                 journal: JournalOption = None):
-        self.cache = cache
-        self.trace_store_disabled = trace_store is False
-        self.trace_store = resolve_trace_store(trace_store, cache)
-        self.journal = journal
-
-    def run(self, spec: SweepSpec,
-            progress: Optional[ProgressCallback] = None) -> SweepRun:
-        """Execute ``spec`` and return its :class:`SweepRun`."""
-        points = spec.points()
-        results: List[SimulationResult] = []
-        seen: Dict[str, SimulationResult] = {}
-        computed = cached = 0
-        stats_base = TRACE_STATS.snapshot()
-        integrity_base = _integrity_snapshot(self.cache, self.trace_store)
-        journal = resolve_journal(self.journal, self.cache, points)
-        journal.emit("sweep_start", spec=spec.name, points=len(points),
-                     workers=1)
-        # Install this runner's store for the duration of the run -- but only
-        # when it actually has an opinion: a store-less, non-disabled runner
-        # leaves any process-global store (configure_trace_store / env var)
-        # in effect rather than silently clearing it.
-        reconfigure = self.trace_store is not None or self.trace_store_disabled
-        previous_store = (configure_trace_store(
-            False if self.trace_store_disabled else self.trace_store)
-            if reconfigure else None)
-        try:
-            for point in points:
-                result = seen.get(point.point_id)
-                if result is None and self.cache is not None:
-                    result = self.cache.get(point)
-                was_cached = result is not None
-                if result is None:
-                    journal.emit("point_running", point_id=point.point_id,
-                                 attempt=0)
-                    try:
-                        result = result_from_dict(
-                            execute_point(point.as_dict()))
-                    except Exception as exc:
-                        journal.emit("point_failed", point_id=point.point_id,
-                                     attempt=0, reason=repr(exc))
-                        raise
-                    computed += 1
-                    if self.cache is not None:
-                        self.cache.put(point, result)
-                    journal.emit("point_done", point_id=point.point_id)
-                else:
-                    cached += 1
-                    journal.emit("point_cached", point_id=point.point_id)
-                seen[point.point_id] = result
-                results.append(result)
-                if progress is not None:
-                    progress(point, result, was_cached)
-        finally:
-            if reconfigure:
-                configure_trace_store(previous_store)
-        if self.cache is not None:
-            self.cache.write_manifest(spec_id_of(points), spec.name, points)
-        delta = TRACE_STATS.since(stats_base)
-        corrupt, quarantined = _integrity_since(integrity_base, self.cache,
-                                                self.trace_store)
-        journal.emit("sweep_done", computed=computed, cached=cached,
-                     retried=0, pool_restarts=0, corrupt_artifacts=corrupt)
-        return SweepRun(spec=spec, points=points, results=results,
-                        computed_count=computed, cached_count=cached,
-                        trace_generated=delta.generated,
-                        trace_reused=delta.packed_hits + delta.memo_hits,
-                        corrupt_artifacts=corrupt,
-                        quarantined_paths=quarantined,
-                        journal_path=(str(journal.path)
-                                      if journal.enabled else None))
-
-
 def adaptive_chunksize(num_pending: int, num_workers: int) -> int:
     """Pool chunk size for a batch of ``num_pending`` uncached points.
 
@@ -690,44 +543,173 @@ def adaptive_chunksize(num_pending: int, num_workers: int) -> int:
     return max(1, min(32, num_pending // (num_workers * 4)))
 
 
-class ParallelRunner:
-    """Fan uncached points out over a crash-tolerant process pool.
+def _point_error(points: List[SweepPoint], indexes: List[int], attempt: int,
+                 exc: Exception, journal: RunJournal) -> SweepExecutionError:
+    """Journal a point that raised; the error naming it, to chain ``from``."""
+    for index in indexes:
+        journal.emit("point_failed", point_id=points[index].point_id,
+                     attempt=attempt, reason=repr(exc))
+    labels = ", ".join(points[index].label() for index in indexes[:5])
+    return SweepExecutionError(
+        f"sweep point(s) {labels} raised {type(exc).__name__}: {exc}")
 
-    Cached points are answered from the artifact directory without touching
-    the pool; fresh results are written to the cache as they stream back, so
-    killing a sweep midway loses at most the points still in flight (at most
-    one chunk per worker; see :func:`adaptive_chunksize`).  The returned
-    results are ordered by spec point order -- identical to
-    :class:`SerialRunner` output for the same spec.
 
-    A dead worker (OOM kill, container preemption, an injected
-    ``worker_crash``) no longer loses the sweep: the broken pool is replaced
-    after an exponential backoff, and every in-flight point is re-dispatched
-    as its own single-point task with a bounded per-point retry budget
-    (:class:`RetryPolicy`).  With ``point_timeout_seconds`` set, a chunk that
-    exceeds its wall-clock deadline is treated the same way: the pool is
-    torn down (terminating the straggler) and the timed-out points retried
-    while innocent in-flight points are re-dispatched without spending their
-    retry budget.  Deterministic application errors raised by a point are
-    *not* retried -- they would fail identically -- but they are re-raised
-    as :class:`SweepExecutionError` naming the failed point.
+class SweepRunner:
+    """Run a spec's points in-process (``jobs <= 1``) or over a process pool.
+
+    Both paths share everything but execution.  Cached points are answered
+    from the artifact directory without simulating; a parameter set that
+    repeats in the grid (e.g. clamped capacity points) is simulated once;
+    fresh results are written to the cache as they arrive, so killing a
+    sweep midway loses at most the points still in flight; and the returned
+    results are ordered by spec point order whatever the ``jobs`` value.
+
+    ``jobs <= 1`` executes the pending points one at a time in spec order,
+    resolving each trace on demand -- the reference executor that parallel
+    runs are compared against.  It starts no pool and bakes nothing ahead.
+
+    ``jobs >= 2`` bakes each distinct trace once, then fans the points out
+    over a crash-tolerant pool.  A dead worker (OOM kill, container
+    preemption, an injected ``worker_crash``) does not lose the sweep: the
+    broken pool is replaced after an exponential backoff, and every
+    in-flight point is re-dispatched as its own single-point task with a
+    bounded per-point retry budget (``retry``, a :class:`RetryPolicy`).
+    With ``point_timeout_seconds`` set, a chunk that exceeds its wall-clock
+    deadline is treated the same way: the pool is torn down (terminating the
+    straggler) and the timed-out points retried while innocent in-flight
+    points are re-dispatched without spending their retry budget.
+
+    On either path a point that *raises* fails the sweep at once -- a
+    deterministic error would fail identically on retry -- as a
+    :class:`SweepExecutionError` naming the point, chained from the original.
     """
 
-    def __init__(self, num_workers: int = 2, cache: Optional[ResultCache] = None,
-                 start_method: Optional[str] = None,
+    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  trace_store: Union[TraceStore, str, None, bool] = None,
                  retry: Optional[RetryPolicy] = None,
-                 journal: JournalOption = None):
-        if num_workers < 1:
+                 journal: JournalOption = None,
+                 obs: Optional[ObsSettings] = None,
+                 start_method: Optional[str] = None):
+        if retry is not None and jobs <= 1:
             raise ConfigurationError(
-                f"num_workers must be positive, got {num_workers}")
-        self.num_workers = num_workers
+                "a retry policy governs the worker pool; it needs jobs >= 2")
+        self.jobs = jobs
         self.cache = cache
-        self.start_method = start_method
-        self.trace_store_disabled = trace_store is False
         self.trace_store = resolve_trace_store(trace_store, cache)
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
+        self.start_method = start_method
+        self.context = ExecutionContext(self.trace_store, obs)
+
+    def run(self, spec: SweepSpec,
+            progress: Optional[ProgressCallback] = None) -> SweepRun:
+        """Execute ``spec`` and return its :class:`SweepRun`."""
+        points = spec.points()
+        results: List[Optional[SimulationResult]] = [None] * len(points)
+        # One execution per *distinct* configuration, keyed by point id.
+        pending: Dict[str, List[int]] = {}
+        cached = 0
+        integrity_base = _integrity_snapshot(self.cache, self.trace_store)
+        journal = resolve_journal(self.journal, self.cache, points)
+        journal.emit("sweep_start", spec=spec.name, points=len(points),
+                     workers=max(1, self.jobs))
+        for index, point in enumerate(points):
+            if point.point_id in pending:
+                pending[point.point_id].append(index)
+                continue
+            result = self.cache.get(point) if self.cache is not None else None
+            if result is None:
+                pending[point.point_id] = [index]
+                continue
+            results[index] = result
+            cached += 1
+            journal.emit("point_cached", point_id=point.point_id)
+            if progress is not None:
+                progress(point, result, True)
+
+        trace_generated = trace_reused = 0
+        retried_points = pool_restarts = 0
+        if pending and self.jobs <= 1:
+            trace_generated, trace_reused = self._execute_in_process(
+                points, pending, results, journal, progress)
+        elif pending:
+            if self.trace_store is not None:
+                trace_generated, trace_reused = self._bake_traces(
+                    [points[indexes[0]] for indexes in pending.values()])
+            retried_points, pool_restarts = self._execute_pool(
+                points, pending, results, journal, progress)
+
+        duplicates = sum(len(indexes) - 1 for indexes in pending.values())
+        _require_complete(points, results)
+        if self.cache is not None:
+            self.cache.write_manifest(spec_id_of(points), spec.name, points)
+        corrupt, quarantined = _integrity_since(integrity_base, self.cache,
+                                                self.trace_store)
+        journal.emit("sweep_done", computed=len(pending),
+                     cached=cached + duplicates, retried=retried_points,
+                     pool_restarts=pool_restarts, corrupt_artifacts=corrupt)
+        return SweepRun(spec=spec, points=points, results=list(results),
+                        computed_count=len(pending), cached_count=cached + duplicates,
+                        trace_generated=trace_generated,
+                        trace_reused=trace_reused,
+                        retried_points=retried_points,
+                        pool_restarts=pool_restarts,
+                        corrupt_artifacts=corrupt,
+                        quarantined_paths=quarantined,
+                        journal_path=(str(journal.path)
+                                      if journal.enabled else None))
+
+    def _record_chunk(self, chunk_results: List[Tuple[int, Dict]],
+                      points: List[SweepPoint],
+                      pending: Dict[str, List[int]],
+                      results: List[Optional[SimulationResult]],
+                      journal: RunJournal,
+                      progress: Optional[ProgressCallback]) -> None:
+        """Cache and slot in one completed chunk's results.
+
+        Later occurrences of a repeated parameter set get the same result
+        and are reported to ``progress`` as cached.
+        """
+        for first_index, data in chunk_results:
+            point = points[first_index]
+            result = result_from_dict(data)
+            if self.cache is not None:
+                self.cache.put(point, result)
+            journal.emit("point_done", point_id=point.point_id)
+            for index in pending[point.point_id]:
+                results[index] = result
+                if progress is not None:
+                    progress(points[index], result, index != first_index)
+
+    # -- In-process execution ----------------------------------------------
+
+    def _execute_in_process(self, points: List[SweepPoint],
+                            pending: Dict[str, List[int]],
+                            results: List[Optional[SimulationResult]],
+                            journal: RunJournal,
+                            progress: Optional[ProgressCallback],
+                            ) -> Tuple[int, int]:
+        """Execute every pending point here, in spec order.
+
+        Returns the run's ``(generated, reused)`` trace counts: every trace
+        resolves on demand in this process, so the per-process
+        :data:`TRACE_STATS` see all of them.
+        """
+        stats_base = TRACE_STATS.snapshot()
+        for indexes in pending.values():
+            index = indexes[0]
+            journal.emit("point_running", point_id=points[index].point_id,
+                         attempt=0)
+            try:
+                data = execute_point(points[index].as_dict(), self.context)
+            except Exception as exc:
+                raise _point_error(points, [index], 0, exc, journal) from exc
+            self._record_chunk([(index, data)], points, pending, results,
+                               journal, progress)
+        delta = TRACE_STATS.since(stats_base)
+        return delta.generated, delta.packed_hits + delta.memo_hits
+
+    # -- The crash-tolerant pool -------------------------------------------
 
     def _bake_traces(self, pending_points: List[SweepPoint]) -> Tuple[int, int]:
         """Bake each distinct trace once before fan-out.
@@ -765,85 +747,15 @@ class ParallelRunner:
                 reused += 1
         return generated, reused
 
-    def run(self, spec: SweepSpec,
-            progress: Optional[ProgressCallback] = None) -> SweepRun:
-        """Execute ``spec`` and return its :class:`SweepRun`."""
-        points = spec.points()
-        results: List[Optional[SimulationResult]] = [None] * len(points)
-        # One pool task per *distinct* configuration: grids whose axes repeat
-        # a parameter set (e.g. clamped capacity points) simulate it once.
-        pending: Dict[str, List[int]] = {}
-        cached = 0
-        integrity_base = _integrity_snapshot(self.cache, self.trace_store)
-        journal = resolve_journal(self.journal, self.cache, points)
-        journal.emit("sweep_start", spec=spec.name, points=len(points),
-                     workers=self.num_workers)
-        for index, point in enumerate(points):
-            if point.point_id in pending:
-                pending[point.point_id].append(index)
-                continue
-            result = self.cache.get(point) if self.cache is not None else None
-            if result is not None:
-                results[index] = result
-                cached += 1
-                journal.emit("point_cached", point_id=point.point_id)
-                if progress is not None:
-                    progress(point, result, True)
-            else:
-                pending[point.point_id] = [index]
-
-        trace_generated = trace_reused = 0
-        retried_points = pool_restarts = 0
-        if pending:
-            pending_points = [points[indexes[0]] for indexes in pending.values()]
-            if self.trace_store is not None:
-                trace_generated, trace_reused = self._bake_traces(pending_points)
-            retried_points, pool_restarts = self._execute_pending(
-                points, pending, results, journal, progress)
-
-        duplicates = sum(len(indexes) - 1 for indexes in pending.values())
-        _require_complete(points, results)
-        if self.cache is not None:
-            self.cache.write_manifest(spec_id_of(points), spec.name, points)
-        corrupt, quarantined = _integrity_since(integrity_base, self.cache,
-                                                self.trace_store)
-        journal.emit("sweep_done", computed=len(pending),
-                     cached=cached + duplicates, retried=retried_points,
-                     pool_restarts=pool_restarts, corrupt_artifacts=corrupt)
-        return SweepRun(spec=spec, points=points, results=list(results),
-                        computed_count=len(pending), cached_count=cached + duplicates,
-                        trace_generated=trace_generated,
-                        trace_reused=trace_reused,
-                        retried_points=retried_points,
-                        pool_restarts=pool_restarts,
-                        corrupt_artifacts=corrupt,
-                        quarantined_paths=quarantined,
-                        journal_path=(str(journal.path)
-                                      if journal.enabled else None))
-
-    # -- The crash-tolerant dispatch loop ----------------------------------
-
-    def _executor_setup(self) -> Tuple[multiprocessing.context.BaseContext,
-                                       Tuple]:
-        """The (mp context, initializer args) every pool generation shares."""
-        store_arg: Optional[str] = _KEEP_STORE
-        if self.trace_store is not None:
-            store_arg = str(self.trace_store.root)
-        elif self.trace_store_disabled:
-            store_arg = None
-        obs = active_obs_settings()
-        plan = active_fault_plan()
-        fault_args = (None if plan is None
-                      else (plan.spec, plan.state_dir))
-        context = (multiprocessing.get_context(self.start_method)
-                   if self.start_method else multiprocessing.get_context())
-        return context, (store_arg, obs, fault_args)
-
-    def _new_executor(self, workers: int, context, initargs: Tuple,
+    def _new_executor(self, workers: int,
                       ) -> concurrent.futures.ProcessPoolExecutor:
+        """A fresh pool; workers rebuild the parent's fault plan, if any."""
+        plan = active_fault_plan()
+        fault_args = None if plan is None else (plan.spec, plan.state_dir)
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_worker_init, initargs=initargs)
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(self.start_method),
+            initializer=_worker_init, initargs=(fault_args,))
 
     @staticmethod
     def _dispose_executor(executor: concurrent.futures.ProcessPoolExecutor,
@@ -865,12 +777,24 @@ class ParallelRunner:
                     pass
         executor.shutdown(wait=False, cancel_futures=True)
 
-    def _execute_pending(self, points: List[SweepPoint],
-                         pending: Dict[str, List[int]],
-                         results: List[Optional[SimulationResult]],
-                         journal: RunJournal,
-                         progress: Optional[ProgressCallback],
-                         ) -> Tuple[int, int]:
+    def _restart_broken_pool(self, executor, workers: int, restarts: int,
+                             journal: RunJournal,
+                             ) -> concurrent.futures.ProcessPoolExecutor:
+        """Replace a broken pool after the retry policy's backoff."""
+        self._dispose_executor(executor)
+        journal.emit("pool_restart", restart=restarts + 1,
+                     reason="broken pool")
+        delay = self.retry.backoff_delay(restarts)
+        if delay > 0:
+            time.sleep(delay)
+        return self._new_executor(workers)
+
+    def _execute_pool(self, points: List[SweepPoint],
+                      pending: Dict[str, List[int]],
+                      results: List[Optional[SimulationResult]],
+                      journal: RunJournal,
+                      progress: Optional[ProgressCallback],
+                      ) -> Tuple[int, int]:
         """Dispatch every pending point, surviving crashes and stragglers.
 
         Returns ``(retried_points, pool_restarts)``.  The loop keeps a queue
@@ -882,21 +806,19 @@ class ParallelRunner:
         retry = self.retry
         payloads = [(indexes[0], points[indexes[0]].as_dict())
                     for indexes in pending.values()]
-        workers = min(self.num_workers, len(payloads))
+        workers = min(self.jobs, len(payloads))
         chunk = adaptive_chunksize(len(payloads), workers)
         queue: Deque[Tuple[Tuple, int]] = deque(
             (tuple(payloads[start:start + chunk]), 0)
             for start in range(0, len(payloads), chunk))
 
         heartbeats = None
-        obs = active_obs_settings()
-        if obs is not None:
+        if self.context.obs is not None:
             from repro.obs.report import HeartbeatWriter
-            heartbeats = HeartbeatWriter(obs.root)
+            heartbeats = HeartbeatWriter(self.context.obs.root)
 
         retried_points = restarts = 0
-        context, initargs = self._executor_setup()
-        executor = self._new_executor(workers, context, initargs)
+        executor = self._new_executor(workers)
         in_flight: Dict[concurrent.futures.Future, Tuple[Tuple, int, Optional[float]]] = {}
         try:
             while queue or in_flight:
@@ -904,7 +826,8 @@ class ParallelRunner:
                     chunk_payloads, attempt = queue.popleft()
                     try:
                         future = executor.submit(_execute_chunk,
-                                                 list(chunk_payloads))
+                                                 list(chunk_payloads),
+                                                 self.context)
                     except BrokenProcessPool:
                         # The pool broke between waits (e.g. an idle worker
                         # died).  Push the work back; if nothing is in flight
@@ -913,15 +836,9 @@ class ParallelRunner:
                         queue.appendleft((chunk_payloads, attempt))
                         if in_flight:
                             break
-                        self._dispose_executor(executor)
-                        journal.emit("pool_restart", restart=restarts + 1,
-                                     reason="broken pool")
-                        delay = retry.backoff_delay(restarts)
+                        executor = self._restart_broken_pool(
+                            executor, workers, restarts, journal)
                         restarts += 1
-                        if delay > 0:
-                            time.sleep(delay)
-                        executor = self._new_executor(workers, context,
-                                                      initargs)
                         continue
                     deadline = (None if retry.point_timeout_seconds is None
                                 else time.monotonic()
@@ -955,15 +872,9 @@ class ParallelRunner:
                         # A deterministic application error: retrying would
                         # fail identically, so fail the sweep now -- but with
                         # the point context a bare worker traceback lacks.
-                        for index, _ in chunk_payloads:
-                            journal.emit("point_failed",
-                                         point_id=points[index].point_id,
-                                         attempt=attempt, reason=repr(exc))
-                        labels = ", ".join(points[index].label()
-                                           for index, _ in chunk_payloads[:5])
-                        raise SweepExecutionError(
-                            f"sweep point(s) {labels} raised "
-                            f"{type(exc).__name__}: {exc}") from exc
+                        raise _point_error(
+                            points, [index for index, _ in chunk_payloads],
+                            attempt, exc, journal) from exc
                     else:
                         self._record_chunk(chunk_results, points, pending,
                                            results, journal, progress)
@@ -979,14 +890,9 @@ class ParallelRunner:
                     retried_points += self._requeue(
                         victims, queue, points, journal, heartbeats,
                         reason="worker process died (broken pool)")
-                    self._dispose_executor(executor)
-                    journal.emit("pool_restart", restart=restarts + 1,
-                                 reason="broken pool")
-                    delay = retry.backoff_delay(restarts)
+                    executor = self._restart_broken_pool(
+                        executor, workers, restarts, journal)
                     restarts += 1
-                    if delay > 0:
-                        time.sleep(delay)
-                    executor = self._new_executor(workers, context, initargs)
                     continue
 
                 if retry.point_timeout_seconds is None or not in_flight:
@@ -1032,28 +938,10 @@ class ParallelRunner:
                 journal.emit("pool_restart", restart=restarts + 1,
                              reason="straggler timeout")
                 restarts += 1
-                executor = self._new_executor(workers, context, initargs)
+                executor = self._new_executor(workers)
         finally:
             self._dispose_executor(executor)
         return retried_points, restarts
-
-    def _record_chunk(self, chunk_results: List[Tuple[int, Dict]],
-                      points: List[SweepPoint],
-                      pending: Dict[str, List[int]],
-                      results: List[Optional[SimulationResult]],
-                      journal: RunJournal,
-                      progress: Optional[ProgressCallback]) -> None:
-        """Cache and slot in one completed chunk's results."""
-        for first_index, data in chunk_results:
-            point = points[first_index]
-            result = result_from_dict(data)
-            for index in pending[point.point_id]:
-                results[index] = result
-            if self.cache is not None:
-                self.cache.put(point, result)
-            journal.emit("point_done", point_id=point.point_id)
-            if progress is not None:
-                progress(point, result, False)
 
     def _requeue(self, victims: List[Tuple[Tuple, int]], queue: Deque,
                  points: List[SweepPoint], journal: RunJournal, heartbeats,
@@ -1092,28 +980,14 @@ class ParallelRunner:
         return retries
 
 
-#: Worker-init sentinel: leave the worker's trace-store configuration alone
-#: (the runner had no store opinion; only observability needed the initializer).
-_KEEP_STORE = "__keep__"
+def _worker_init(fault_args: Optional[Tuple[str, Optional[str]]]) -> None:
+    """Pool initializer: rebuild the parent's fault plan in this worker.
 
-
-def _worker_init(store_root: Optional[str],
-                 obs_settings: Optional[ObsSettings] = None,
-                 fault_args: Optional[Tuple[str, Optional[str]]] = None) -> None:
-    """Pool initializer: hand the parent's trace store, obs and faults over.
-
-    ``store_root=None`` means the parent explicitly disabled the store
-    (``trace_store=False``), which must override any ``REPRO_TRACE_STORE``
-    environment variable the worker inherited; the :data:`_KEEP_STORE`
-    sentinel leaves the store configuration untouched.  ``fault_args`` is the
-    parent's ``(spec, state_dir)`` fault plan, reconstructed here so spawned
-    workers inject the same faults as forked ones (the shared state dir keeps
-    firing once-only across the whole fleet and across pool restarts).
+    ``fault_args`` is the parent's ``(spec, state_dir)`` fault plan, or
+    ``None``; rebuilding it here makes spawned workers inject the same
+    faults as forked ones (the shared state dir keeps firing once-only
+    across the whole fleet and across pool restarts).
     """
-    if store_root != _KEEP_STORE:
-        configure_trace_store(False if store_root is None else store_root)
-    if obs_settings is not None:
-        configure_observability(obs_settings)
     if fault_args is not None:
         from repro.sweep.faults import FaultPlan
         spec, state_dir = fault_args
@@ -1137,14 +1011,6 @@ def _require_complete(points: List[SweepPoint],
             "points")
 
 
-def default_runner(jobs: int = 1, cache: Optional[ResultCache] = None,
-                   trace_store: Union[TraceStore, str, None, bool] = None,
-                   retry: Optional[RetryPolicy] = None,
-                   journal: JournalOption = None):
-    """Pick the runner matching a ``--jobs`` CLI value."""
-    if jobs <= 1:
-        return SerialRunner(cache=cache, trace_store=trace_store,
-                            journal=journal)
-    return ParallelRunner(num_workers=jobs, cache=cache,
-                          trace_store=trace_store, retry=retry,
-                          journal=journal)
+#: The in-process runner's former name; ``SerialRunner.run`` is the same
+#: function as ``SweepRunner.run`` (the benchmark harness patches it by name).
+SerialRunner = SweepRunner

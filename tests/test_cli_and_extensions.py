@@ -141,6 +141,15 @@ class TestCLI:
             main(["campaign", "run", "--campaign", "nope",
                   "--artifacts", str(tmp_path)])
 
+    @pytest.mark.parametrize("command", (
+        ["sweep", "--workload", "Cholesky"],
+        ["campaign", "run", "--campaign", "window-ablation", "--quick"]))
+    def test_retry_flags_need_a_pool(self, command, tmp_path):
+        # Regression: --jobs 1 used to drop these flags silently.
+        with pytest.raises(SystemExit, match="--jobs >= 2"):
+            main([*command, "--jobs", "1", "--point-timeout", "0.001",
+                  "--retries", "0", "--artifacts", str(tmp_path)])
+
     @pytest.mark.parametrize("artefact", ["table1", "table2", "fig1", "fig3"])
     def test_experiment_artefacts(self, artefact, capsys):
         assert main(["experiment", artefact]) == 0

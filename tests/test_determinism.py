@@ -10,7 +10,7 @@ guarantee down so parallel-sweep work cannot silently erode it:
   :class:`SimulationResult` s (including the stats dict),
 * the same configuration executed through :func:`repro.sweep.runner
   .execute_point` (the worker entry point) and through a 2-worker
-  :class:`ParallelRunner` agrees with the direct in-process run,
+  pool :class:`SweepRunner` agrees with the direct in-process run,
 * the software-runtime baseline is deterministic too,
 * traces themselves regenerate identically from a (name, scale, seed) triple.
 """
@@ -22,8 +22,7 @@ from dataclasses import asdict
 from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.software.runtime_sim import SoftwareRuntimeSystem
-from repro.sweep.runner import (ParallelRunner, SerialRunner, execute_point,
-                                trace_cache_clear)
+from repro.sweep.runner import SweepRunner, execute_point, trace_cache_clear
 from repro.sweep.spec import SweepSpec
 from repro.trace.packed import pack_trace
 from repro.trace.store import TraceStore
@@ -75,8 +74,8 @@ class TestParallelRunnerDeterminism:
             base={"scale_factor": 0.25, "max_tasks": 50, "fast_generator": True},
         )
         assert spec.cardinality == 8
-        serial = SerialRunner().run(spec)
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         for point, mine, theirs in zip(spec.points(), serial.results,
                                        parallel.results):
             assert asdict(mine) == asdict(theirs), (
@@ -112,13 +111,13 @@ class TestPackedReplayDeterminism:
             base={"scale_factor": 0.25, "max_tasks": 50, "num_cores": 16,
                   "fast_generator": True},
         )
-        baseline = SerialRunner().run(spec)
+        baseline = SweepRunner().run(spec)
         store = TraceStore(tmp_path / "traces")
         trace_cache_clear()  # force the first store run to bake
-        baked = SerialRunner(trace_store=store).run(spec)
+        baked = SweepRunner(trace_store=store).run(spec)
         assert baked.trace_generated == len(WORKLOADS)
         trace_cache_clear()  # force the second store run to load packed files
-        replayed = SerialRunner(trace_store=store).run(spec)
+        replayed = SweepRunner(trace_store=store).run(spec)
         assert replayed.trace_generated == 0
         assert replayed.trace_reused >= len(WORKLOADS)
         for point, expected, from_bake, from_store in zip(

@@ -2,8 +2,8 @@
 
 The acceptance-critical scenarios live here:
 
-* a 2-worker :class:`ParallelRunner` sweep over >= 8 configuration points
-  produces results identical to the :class:`SerialRunner`,
+* a 2-worker :class:`SweepRunner` sweep over >= 8 configuration points
+  produces results identical to the in-process (``jobs=1``) runner,
 * re-running the same sweep against the same artifacts directory answers
   every point from the cache (zero recomputed points),
 * an interrupted sweep resumes: points cached before the interruption are
@@ -15,17 +15,22 @@ duplicate-freedom, order determinism and content-hash stability.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SweepExecutionError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
 from repro.sweep.cache import ResultCache, result_from_dict
-from repro.sweep.runner import (ParallelRunner, SerialRunner, build_point_config,
-                                default_runner, execute_point,
+from repro.sweep.resilience import RetryPolicy
+from repro.sweep.runner import (SweepRunner, build_point_config, execute_point,
                                 resolve_trace_store, trace_cache_clear,
                                 trace_cache_size)
 from repro.sweep.runner import trace_key_for_params
@@ -192,9 +197,9 @@ class TestScalarCanonicalization:
 
         cache = ResultCache(tmp_path)
         trace_cache_clear()
-        first = SerialRunner(cache=cache).run(spec(0))
+        first = SweepRunner(cache=cache).run(spec(0))
         assert first.computed_count == 1
-        rerun = SerialRunner(cache=ResultCache(tmp_path)).run(spec("0"))
+        rerun = SweepRunner(cache=ResultCache(tmp_path)).run(spec("0"))
         assert rerun.computed_count == 0, \
             "string seed missed the cache entry of the equivalent int seed"
         assert rerun.cached_count == 1
@@ -277,14 +282,14 @@ class TestResultCache:
         point = spec.points()[0]
         cache = ResultCache(tmp_path)
         assert cache.get(point) is None
-        run = SerialRunner(cache=cache).run(spec)
+        run = SweepRunner(cache=cache).run(spec)
         reloaded = ResultCache(tmp_path).get(point)
         assert asdict(reloaded) == asdict(run.results[0])
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         for path in (tmp_path / "objects").glob("*/*.json"):
             path.write_text("{truncated", encoding="utf-8")
         fresh = ResultCache(tmp_path)
@@ -294,7 +299,7 @@ class TestResultCache:
     def test_manifest_written_on_completion(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         manifest = cache.read_manifest(spec.spec_id)
         assert manifest is not None
         assert manifest["num_points"] == spec.cardinality
@@ -304,7 +309,7 @@ class TestResultCache:
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         assert len(cache) == spec.cardinality
 
 
@@ -318,9 +323,9 @@ class TestRunners:
         spec = acceptance_spec()
         assert spec.cardinality >= 8
 
-        serial = SerialRunner().run(spec)
+        serial = SweepRunner().run(spec)
         parallel_cache = ResultCache(tmp_path)
-        parallel = ParallelRunner(num_workers=2, cache=parallel_cache).run(spec)
+        parallel = SweepRunner(jobs=2, cache=parallel_cache).run(spec)
 
         assert parallel.computed_count == spec.cardinality
         assert parallel.cached_count == 0
@@ -328,7 +333,7 @@ class TestRunners:
         for mine, theirs in zip(serial.results, parallel.results):
             assert asdict(mine) == asdict(theirs)
 
-        rerun = ParallelRunner(num_workers=2, cache=ResultCache(tmp_path)).run(spec)
+        rerun = SweepRunner(jobs=2, cache=ResultCache(tmp_path)).run(spec)
         assert rerun.computed_count == 0, "re-run must recompute zero points"
         assert rerun.cached_count == spec.cardinality
         for mine, theirs in zip(serial.results, rerun.results):
@@ -341,11 +346,11 @@ class TestRunners:
         # Simulate an interrupted sweep: only the first half completed.
         for point in points[:4]:
             cache.put(point, result_from_dict(execute_point(point.as_dict())))
-        resumed = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        resumed = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert resumed.cached_count == 4
         assert resumed.computed_count == 4
         # And the resumed results equal an uncached run.
-        reference = SerialRunner().run(spec)
+        reference = SweepRunner().run(spec)
         for mine, theirs in zip(resumed.results, reference.results):
             assert asdict(mine) == asdict(theirs)
 
@@ -359,10 +364,10 @@ class TestRunners:
             axes={"capacity": [{"frontend.num_trs": 2}, {"frontend.num_trs": 2}]},
             base={"num_cores": 8, "scale_factor": 0.2, "max_tasks": 25},
         )
-        serial = SerialRunner().run(spec)
+        serial = SweepRunner().run(spec)
         assert serial.computed_count == 1
         assert serial.cached_count == 1
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         assert parallel.computed_count == 1
         assert parallel.cached_count == 1
         assert asdict(parallel.results[0]) == asdict(parallel.results[1])
@@ -371,11 +376,11 @@ class TestRunners:
     def test_progress_callback_reports_cache_origin(self, tmp_path):
         spec = tiny_spec()
         seen = []
-        SerialRunner(cache=ResultCache(tmp_path)).run(
+        SweepRunner(cache=ResultCache(tmp_path)).run(
             spec, progress=lambda p, r, cached: seen.append(cached))
         assert seen == [False, False]
         seen.clear()
-        SerialRunner(cache=ResultCache(tmp_path)).run(
+        SweepRunner(cache=ResultCache(tmp_path)).run(
             spec, progress=lambda p, r, cached: seen.append(cached))
         assert seen == [True, True]
 
@@ -385,17 +390,40 @@ class TestRunners:
         assert data["tasks_completed"] == data["num_tasks"] > 0
 
     def test_result_for_filters_uniquely(self):
-        run = SerialRunner().run(tiny_spec())
+        run = SweepRunner().run(tiny_spec())
         result = run.result_for(**{"frontend.num_trs": 2})
         assert result.tasks_completed > 0
         with pytest.raises(KeyError):
             run.result_for(workload="Cholesky")  # two points match
 
-    def test_default_runner_selection(self):
-        assert isinstance(default_runner(1), SerialRunner)
-        assert isinstance(default_runner(3), ParallelRunner)
-        with pytest.raises(ConfigurationError):
-            ParallelRunner(num_workers=0)
+    def test_runner_selection_by_jobs(self, monkeypatch, tmp_path):
+        """``jobs <= 1`` starts no pool; nor does an all-cached run."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = tiny_spec()
+        for jobs in (0, 1):
+            assert SweepRunner(jobs=jobs).run(spec).computed_count == 2
+        SweepRunner(cache=ResultCache(tmp_path)).run(spec)
+        warm = SweepRunner(jobs=2, cache=ResultCache(tmp_path)).run(spec)
+        assert warm.cached_count == 2 and warm.computed_count == 0
+        with pytest.raises(ConfigurationError, match="jobs >= 2"):
+            SweepRunner(jobs=1, retry=RetryPolicy())
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_point_error_names_the_point(self, jobs):
+        """Both paths wrap a raising point the same way."""
+        spec = SweepSpec(name="invalid", workloads=("Cholesky",),
+                         axes={"frontend.num_trs": (0,)},
+                         base={"num_cores": 4, "scale_factor": 0.2,
+                               "max_tasks": 10, "fast_generator": True})
+        with pytest.raises(SweepExecutionError) as info:
+            SweepRunner(jobs=jobs).run(spec)
+        assert spec.points()[0].label() in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigurationError)
 
     def test_parallel_chunked_grid_matches_serial(self):
         # 24 cheap points with 2 workers batches several points per pool task
@@ -409,8 +437,8 @@ class TestRunners:
                   "fast_generator": True},
         )
         assert spec.cardinality == 24
-        serial = SerialRunner().run(spec)
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         assert len(parallel.results) == spec.cardinality
         for mine, theirs in zip(serial.results, parallel.results):
             assert asdict(mine) == asdict(theirs)
@@ -419,11 +447,12 @@ class TestRunners:
 class TestTraceStoreIntegration:
     def test_cache_derives_the_conventional_store(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = SerialRunner(cache=cache)
+        runner = SweepRunner(cache=cache)
         assert runner.trace_store is not None
         assert runner.trace_store.root == tmp_path / "traces"
-        assert SerialRunner(cache=cache, trace_store=False).trace_store is None
-        assert SerialRunner().trace_store is None
+        assert runner.context.trace_store is runner.trace_store
+        assert SweepRunner(cache=cache, trace_store=False).trace_store is None
+        assert SweepRunner().trace_store is None
 
     def test_resolve_trace_store_accepts_paths_and_stores(self, tmp_path):
         store = TraceStore(tmp_path / "s")
@@ -434,8 +463,7 @@ class TestTraceStoreIntegration:
     def test_parent_bakes_each_distinct_trace_once(self, tmp_path):
         spec = acceptance_spec()
         trace_cache_clear()
-        run = ParallelRunner(num_workers=2,
-                             cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(jobs=2, cache=ResultCache(tmp_path)).run(spec)
         # Two workloads share every other parameter: exactly two bakes.
         assert run.trace_generated == 2
         assert run.trace_reused == 0
@@ -450,14 +478,14 @@ class TestTraceStoreIntegration:
         spec = acceptance_spec()
         first_cache = ResultCache(tmp_path / "a")
         trace_cache_clear()
-        first = ParallelRunner(num_workers=2, cache=first_cache).run(spec)
+        first = SweepRunner(jobs=2, cache=first_cache).run(spec)
         assert first.trace_generated == 2
         # A different campaign cache but the same trace store: every trace is
         # answered by a packed load, zero regenerations anywhere.
         second_cache = ResultCache(tmp_path / "b")
         trace_cache_clear()
-        second = ParallelRunner(
-            num_workers=2, cache=second_cache,
+        second = SweepRunner(
+            jobs=2, cache=second_cache,
             trace_store=TraceStore(tmp_path / "a" / "traces")).run(spec)
         assert second.trace_generated == 0
         assert second.trace_reused == 2
@@ -468,34 +496,21 @@ class TestTraceStoreIntegration:
         """A store configured after the memo warmed up still gets baked."""
         spec = tiny_spec(fast_generator=True)
         trace_cache_clear()
-        SerialRunner().run(spec)  # warms the in-process memo, no store
+        SweepRunner().run(spec)  # warms the in-process memo, no store
         fresh = TraceStore(tmp_path / "fresh")
-        run = SerialRunner(cache=ResultCache(tmp_path / "c"),
-                           trace_store=fresh).run(spec)
+        run = SweepRunner(cache=ResultCache(tmp_path / "c"),
+                          trace_store=fresh).run(spec)
         assert run.trace_generated == 0
         assert len(fresh) == 1, "memoized trace was not baked into the store"
         trace_cache_clear()
 
-    def test_disabled_store_overrides_env_var(self, monkeypatch, tmp_path):
-        """--no-trace-store must win over an exported REPRO_TRACE_STORE."""
-        env_root = tmp_path / "env-store"
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(env_root))
+    def test_disabled_store_writes_no_traces(self, tmp_path):
+        """--no-trace-store wins over the store a cache would derive."""
         trace_cache_clear()
-        run = SerialRunner(cache=ResultCache(tmp_path / "c"),
-                           trace_store=False).run(tiny_spec())
+        run = SweepRunner(cache=ResultCache(tmp_path),
+                          trace_store=False).run(tiny_spec())
         assert run.trace_generated == 1
-        assert not env_root.exists(), "disabled runner wrote to the env store"
-
-    def test_env_var_store_reaches_execute_point(self, monkeypatch, tmp_path):
-        env_root = tmp_path / "env-store"
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(env_root))
-        trace_cache_clear()
-        execute_point({"workload": "Cholesky", "num_cores": 8,
-                       "scale_factor": 0.2, "max_tasks": 10,
-                       "fast_generator": True})
-        assert TraceStore(env_root).entries(), "env store was not baked into"
-        monkeypatch.delenv("REPRO_TRACE_STORE")
-        trace_cache_clear()
+        assert not (tmp_path / "traces").exists()
 
     def test_trace_cache_size_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_CACHE_SIZE", raising=False)
@@ -527,9 +542,47 @@ class TestTraceStoreIntegration:
         )
         assert spec.cardinality == 18
         trace_cache_clear()
-        run = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         # 9 distinct traces generated once each; the second TRS pass is
         # answered by the packed store (or memo) despite the tiny memo.
         assert run.trace_generated == 9
         assert run.trace_reused == 9
         trace_cache_clear()
+
+
+#: Runs one in-process ``repro sweep`` with the benchmark harness's layer
+#: spans installed; prints ``{layer: calls}``.
+_HARNESS_SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import spans
+from repro.sweep.runner import (SerialRunner, build_point_config,
+                                trace_cache_clear, workload_params)
+assert "run" in SerialRunner.__dict__
+recorder = spans.SpanRecorder()
+spans.install(recorder)
+import repro.cli
+code = repro.cli.main(["sweep", "--workload", "Cholesky",
+                       "--axis", "frontend.num_trs=1,2",
+                       "--scale-factor", "0.2", "--max-tasks", "10",
+                       "--fast-generator", "--jobs", "1", "--no-cache"])
+assert code == 0, code
+print(json.dumps({layer: calls
+                  for layer, (_, calls) in recorder.split().items()}))
+"""
+
+
+class TestBenchmarkHarnessContract:
+    def test_layer_spans_see_the_in_process_sweep(self):
+        """The names ``perfbench/`` patches and imports keep existing, and
+        the runner calls ``execute_point`` by its module-global name."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", _HARNESS_SCRIPT],
+                              cwd=root, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        calls = json.loads(done.stdout.strip().splitlines()[-1])
+        assert calls["sweep.runner"] == 1
+        assert calls["sweep.execute_point"] == 2
+        assert calls["sim.module"] > 0
