@@ -31,31 +31,21 @@ Package map:
 * :mod:`repro.experiments` -- drivers reproducing every table and figure.
 """
 
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem, run_trace
-from repro.common.config import SimulationConfig, default_table2_config
-from repro.runtime import AddressSpace, TaskProgram, build_dependency_graph, task
-from repro.software.runtime_sim import SoftwareRuntimeSystem, run_trace_software
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
-from repro.workloads import registry
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimulationResult",
-    "TaskSuperscalarSystem",
-    "run_trace",
-    "SimulationConfig",
-    "default_table2_config",
-    "AddressSpace",
-    "TaskProgram",
-    "build_dependency_graph",
-    "task",
-    "SoftwareRuntimeSystem",
-    "run_trace_software",
-    "Direction",
-    "OperandRecord",
-    "TaskRecord",
-    "TaskTrace",
-    "registry",
-    "__version__",
-]
+# Resolved on first use, so ``import repro`` loads no simulator code.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.backend.result": ("SimulationResult",),
+    "repro.backend.system": ("TaskSuperscalarSystem", "run_trace"),
+    "repro.common.config": ("SimulationConfig", "default_table2_config"),
+    "repro.runtime": ("AddressSpace", "TaskProgram", "build_dependency_graph",
+                      "task"),
+    "repro.software.runtime_sim": ("SoftwareRuntimeSystem",
+                                   "run_trace_software"),
+    "repro.trace.records": ("Direction", "OperandRecord", "TaskRecord",
+                            "TaskTrace"),
+    "repro.workloads": ("registry",),
+})
+__all__.append("__version__")

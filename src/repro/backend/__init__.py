@@ -8,7 +8,10 @@
   and the :class:`repro.backend.system.SimulationResult` it produces.
 """
 
-from repro.backend.scheduler import TaskScheduler
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem, run_trace
+from repro._lazy import lazy_exports
 
-__all__ = ["TaskScheduler", "SimulationResult", "TaskSuperscalarSystem", "run_trace"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.backend.scheduler": ("TaskScheduler",),
+    "repro.backend.result": ("SimulationResult",),
+    "repro.backend.system": ("TaskSuperscalarSystem", "run_trace"),
+})

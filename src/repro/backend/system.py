@@ -5,74 +5,27 @@ distributed frontend, the Carbon-like scheduler and the worker cores into one
 discrete-event simulation, runs a task trace through it and returns a
 :class:`SimulationResult` with the measurements the paper's evaluation uses:
 makespan, speedup over sequential execution, task decode rate, task-window
-occupancy and module-level statistics.
+occupancy and module-level statistics.  The result class lives in the leaf
+module :mod:`repro.backend.result` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.common.config import SimulationConfig, default_table2_config
 from repro.common.errors import SchedulingError
-from repro.common.units import cycles_to_ns, cycles_to_us
+from repro.common.units import cycles_to_ns
 from repro.cores.core import WorkerCore
 from repro.cores.generator import TaskGeneratingThread
+from repro.backend.result import SimulationResult
 from repro.backend.scheduler import TaskScheduler
 from repro.runtime.taskgraph import build_dependency_graph
 from repro.topology import TaskRouter, build_frontends
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsCollector
 from repro.trace.records import TaskTrace
-
-
-@dataclass
-class SimulationResult:
-    """Measurements from one simulated run."""
-
-    trace_name: str
-    num_tasks: int
-    num_cores: int
-    makespan_cycles: int
-    sequential_cycles: int
-    decode_rate_cycles: float
-    decode_rate_ns: float
-    tasks_decoded: int
-    tasks_completed: int
-    window_peak_tasks: int
-    window_mean_tasks: float
-    ready_queue_peak: int
-    generator_stall_cycles: int
-    core_utilization: float
-    stats: Dict[str, float] = field(default_factory=dict)
-    # Topology metrics (defaults keep results from single-frontend machines
-    # and pre-topology cache entries loadable).
-    num_frontends: int = 1
-    per_frontend_tasks_decoded: List[int] = field(default_factory=list)
-    per_frontend_decode_rate_cycles: List[float] = field(default_factory=list)
-    tasks_stolen: int = 0
-    steals_by_cluster: List[int] = field(default_factory=list)
-    inter_frontend_forwards: int = 0
-
-    @property
-    def speedup(self) -> float:
-        """Speedup over sequential execution of the same trace."""
-        if self.makespan_cycles <= 0:
-            return 0.0
-        return self.sequential_cycles / self.makespan_cycles
-
-    @property
-    def makespan_us(self) -> float:
-        """Makespan in microseconds at the default clock."""
-        return cycles_to_us(self.makespan_cycles)
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (f"{self.trace_name}: {self.num_tasks} tasks on {self.num_cores} cores -> "
-                f"speedup {self.speedup:.1f}x, decode {self.decode_rate_cycles:.0f} "
-                f"cycles/task ({self.decode_rate_ns:.0f} ns), "
-                f"window peak {self.window_peak_tasks} tasks")
 
 
 class TaskSuperscalarSystem:

@@ -55,10 +55,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.backend.system import run_trace
 from repro.common.errors import WorkloadError
-from repro.software.runtime_sim import run_trace_software
-from repro.trace.io import write_trace
 from repro.workloads import registry
 
 
@@ -87,6 +84,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.backend.system import run_trace
+    from repro.software.runtime_sim import run_trace_software
+
     trace = registry.generate(args.workload, scale=args.scale, seed=args.seed)
     print(f"{trace.name}: {len(trace)} tasks "
           f"(sequential time {trace.total_runtime_cycles} cycles)")
@@ -113,6 +113,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if not args.workload or not args.output:
             raise SystemExit("repro trace: --workload and --output are required "
                              "(or use a subcommand: bake, ls, gc)")
+        from repro.trace.io import write_trace
+
         trace = registry.generate(args.workload, scale=args.scale, seed=args.seed)
         write_trace(trace, args.output)
         print(f"wrote {len(trace)} tasks to {args.output}")
@@ -437,8 +439,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise SystemExit(f"--axis expects NAME=V1,V2,..., got {item!r}")
         name, values = item.split("=", 1)
-        axes[name.strip()] = [parse_axis_value(value)
-                              for value in values.split(",")]
+        name = name.strip()
+        axes[name] = [parse_axis_value(value, name)
+                      for value in values.split(",")]
 
     base = {}
     conflicts = []
@@ -606,9 +609,11 @@ def _obs_find_summary(root, prefix: Optional[str]):
 def _cmd_obs(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs.io import gc_obs_dir, load_recording
+    from repro.obs.io import DEFAULT_OBS_ROOT, gc_obs_dir, load_recording
     from repro.obs.report import format_report, point_summary
 
+    if args.dir is None:
+        args.dir = str(DEFAULT_OBS_ROOT)
     if args.action == "record":
         from repro.common.hashing import content_digest
         from repro.sweep.runner import (ExecutionContext, ObsSettings,
@@ -1001,17 +1006,15 @@ def build_parser() -> argparse.ArgumentParser:
                                     "checks, e.g. telemetry overhead)")
     bench_compare.set_defaults(func=_cmd_bench)
 
-    from repro.obs.io import DEFAULT_OBS_ROOT
-
     obs = subparsers.add_parser(
         "obs", help="cycle-resolved pipeline telemetry "
                     "(record, stall report, Perfetto export)")
     obs_sub = obs.add_subparsers(dest="action", required=True)
 
     def _obs_dir_arg(sub):
-        sub.add_argument("--dir", default=str(DEFAULT_OBS_ROOT), metavar="DIR",
+        sub.add_argument("--dir", default=None, metavar="DIR",
                          help="obs artifact directory "
-                              f"(default {DEFAULT_OBS_ROOT})")
+                              "(default .repro-artifacts/obs)")
 
     obs_record = obs_sub.add_parser(
         "record", help="simulate one point with telemetry on and keep "

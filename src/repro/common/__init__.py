@@ -13,59 +13,17 @@ blocks that every other subsystem relies on:
   capacities).
 """
 
-from repro.common.config import (
-    BackendConfig,
-    CMPConfig,
-    FrontendConfig,
-    MemoryConfig,
-    SimulationConfig,
-    SoftwareRuntimeConfig,
-    default_table2_config,
-)
-from repro.common.errors import (
-    AllocationError,
-    CapacityError,
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    TraceFormatError,
-    WorkloadError,
-)
-from repro.common.ids import OperandID, TaskID
-from repro.common.units import (
-    CLOCK_GHZ,
-    KB,
-    MB,
-    Cycles,
-    cycles_to_ns,
-    cycles_to_us,
-    ns_to_cycles,
-    us_to_cycles,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackendConfig",
-    "CMPConfig",
-    "FrontendConfig",
-    "MemoryConfig",
-    "SimulationConfig",
-    "SoftwareRuntimeConfig",
-    "default_table2_config",
-    "AllocationError",
-    "CapacityError",
-    "ConfigurationError",
-    "ProtocolError",
-    "ReproError",
-    "TraceFormatError",
-    "WorkloadError",
-    "OperandID",
-    "TaskID",
-    "CLOCK_GHZ",
-    "KB",
-    "MB",
-    "Cycles",
-    "cycles_to_ns",
-    "cycles_to_us",
-    "ns_to_cycles",
-    "us_to_cycles",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.common.config": (
+        "BackendConfig", "CMPConfig", "FrontendConfig", "MemoryConfig",
+        "SimulationConfig", "SoftwareRuntimeConfig", "default_table2_config"),
+    "repro.common.errors": (
+        "AllocationError", "CapacityError", "ConfigurationError",
+        "ProtocolError", "ReproError", "TraceFormatError", "WorkloadError"),
+    "repro.common.ids": ("OperandID", "TaskID"),
+    "repro.common.units": (
+        "CLOCK_GHZ", "KB", "MB", "Cycles", "cycles_to_ns", "cycles_to_us",
+        "ns_to_cycles", "us_to_cycles"),
+})

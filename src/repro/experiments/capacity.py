@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backend.system import SimulationResult
+from repro.backend.result import SimulationResult
 from repro.common.units import KB, MB
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec

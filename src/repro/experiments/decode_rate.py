@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem
+from repro.backend.result import SimulationResult
+from repro.backend.system import TaskSuperscalarSystem
 from repro.common.units import cycles_to_ns
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.sweep.runner import SweepRunner

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem
+from repro.backend.result import SimulationResult
+from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.software.runtime_sim import SoftwareRuntimeSystem
 from repro.sweep.runner import SweepRunner

@@ -10,48 +10,15 @@ simulator behaves exactly as before; with one attached the simulation
 results are still bit-identical, because observers only ever read state.
 """
 
-from repro.obs.events import (
-    EV_DEP_FORWARD,
-    EV_MODULE_SERVICE,
-    EV_MODULE_STALL,
-    EV_OCCUPANCY,
-    EV_STALL_SOURCE,
-    EV_TASK_ADMITTED,
-    EV_TASK_ALLOCATED,
-    EV_TASK_CREATED,
-    EV_TASK_DECODED,
-    EV_TASK_DISPATCHED,
-    EV_TASK_FREED,
-    EV_TASK_READY,
-    EV_TASK_RETIRED,
-    EV_TASK_WINDOW_WAIT,
-    EVENT_KINDS,
-    EventRing,
-    decode_task_id,
-    encode_task_id,
-)
-from repro.obs.observer import ObsConfig, Observer, Recording
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "EV_DEP_FORWARD",
-    "EV_MODULE_SERVICE",
-    "EV_MODULE_STALL",
-    "EV_OCCUPANCY",
-    "EV_STALL_SOURCE",
-    "EV_TASK_ADMITTED",
-    "EV_TASK_ALLOCATED",
-    "EV_TASK_CREATED",
-    "EV_TASK_DECODED",
-    "EV_TASK_DISPATCHED",
-    "EV_TASK_FREED",
-    "EV_TASK_READY",
-    "EV_TASK_RETIRED",
-    "EV_TASK_WINDOW_WAIT",
-    "EventRing",
-    "ObsConfig",
-    "Observer",
-    "Recording",
-    "decode_task_id",
-    "encode_task_id",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.events": (
+        "EVENT_KINDS", "EV_DEP_FORWARD", "EV_MODULE_SERVICE",
+        "EV_MODULE_STALL", "EV_OCCUPANCY", "EV_STALL_SOURCE",
+        "EV_TASK_ADMITTED", "EV_TASK_ALLOCATED", "EV_TASK_CREATED",
+        "EV_TASK_DECODED", "EV_TASK_DISPATCHED", "EV_TASK_FREED",
+        "EV_TASK_READY", "EV_TASK_RETIRED", "EV_TASK_WINDOW_WAIT",
+        "EventRing", "decode_task_id", "encode_task_id"),
+    "repro.obs.observer": ("ObsConfig", "Observer", "Recording"),
+})

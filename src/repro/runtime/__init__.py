@@ -24,22 +24,13 @@ This package provides the same programming model in Python:
   semantics.
 """
 
-from repro.runtime.annotations import KernelSpec, task
-from repro.runtime.executor import DataflowExecutor, SequentialExecutor
-from repro.runtime.memory import AddressSpace, MemoryObject
-from repro.runtime.recorder import RecordedTask, TaskProgram
-from repro.runtime.taskgraph import DependencyGraph, DependencyKind, build_dependency_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelSpec",
-    "task",
-    "DataflowExecutor",
-    "SequentialExecutor",
-    "AddressSpace",
-    "MemoryObject",
-    "RecordedTask",
-    "TaskProgram",
-    "DependencyGraph",
-    "DependencyKind",
-    "build_dependency_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runtime.annotations": ("KernelSpec", "task"),
+    "repro.runtime.executor": ("DataflowExecutor", "SequentialExecutor"),
+    "repro.runtime.memory": ("AddressSpace", "MemoryObject"),
+    "repro.runtime.recorder": ("RecordedTask", "TaskProgram"),
+    "repro.runtime.taskgraph": ("DependencyGraph", "DependencyKind",
+                                "build_dependency_graph"),
+})

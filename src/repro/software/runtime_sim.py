@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.backend.system import SimulationResult
+from repro.backend.result import SimulationResult
 from repro.common.config import SimulationConfig, default_table2_config
 from repro.common.errors import SchedulingError
 from repro.common.units import cycles_to_ns, ns_to_cycles

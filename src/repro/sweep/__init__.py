@@ -30,44 +30,19 @@ cacheable, parallelisable campaigns:
 See ``examples/sweep_campaign.py`` for an end-to-end campaign.
 """
 
-from repro.sweep.cache import DEFAULT_CACHE_ROOT, ResultCache
-from repro.sweep.campaign import (Ablation, Campaign, CampaignReport,
-                                  aggregate_run, run_campaign)
-from repro.sweep.faults import (FaultPlan, configure_faults, parse_faults)
-from repro.sweep.resilience import RetryPolicy, RunJournal
-from repro.sweep.runner import (ExecutionContext, ObsSettings, SweepRun,
-                                SweepRunner, adaptive_chunksize,
-                                execute_point, resolve_trace_store,
-                                trace_for_params, workload_params)
-from repro.sweep.spec import (SweepPoint, SweepSpec, canonical_scalar,
-                              parse_axis_value)
-from repro.trace.store import TraceStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Ablation",
-    "Campaign",
-    "CampaignReport",
-    "DEFAULT_CACHE_ROOT",
-    "ExecutionContext",
-    "FaultPlan",
-    "ObsSettings",
-    "ResultCache",
-    "RetryPolicy",
-    "RunJournal",
-    "SweepPoint",
-    "SweepRun",
-    "SweepRunner",
-    "SweepSpec",
-    "TraceStore",
-    "adaptive_chunksize",
-    "aggregate_run",
-    "canonical_scalar",
-    "configure_faults",
-    "parse_faults",
-    "execute_point",
-    "parse_axis_value",
-    "resolve_trace_store",
-    "run_campaign",
-    "trace_for_params",
-    "workload_params",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sweep.cache": ("DEFAULT_CACHE_ROOT", "ResultCache"),
+    "repro.sweep.campaign": ("Ablation", "Campaign", "CampaignReport",
+                             "aggregate_run", "run_campaign"),
+    "repro.sweep.faults": ("FaultPlan", "configure_faults", "parse_faults"),
+    "repro.sweep.resilience": ("RetryPolicy", "RunJournal"),
+    "repro.sweep.runner": ("ExecutionContext", "ObsSettings", "SweepRun",
+                           "SweepRunner", "adaptive_chunksize",
+                           "execute_point", "resolve_trace_store",
+                           "trace_for_params", "workload_params"),
+    "repro.sweep.spec": ("SweepPoint", "SweepSpec", "canonical_scalar",
+                         "parse_axis_value"),
+    "repro.trace.store": ("TraceStore",),
+})

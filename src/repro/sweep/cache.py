@@ -35,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.backend.system import SimulationResult
+from repro.backend.result import SimulationResult
 from repro.common.errors import ArtifactIntegrityWarning
 from repro.common.fileio import atomic_write_text, quarantine_file
 from repro.common.hashing import content_digest

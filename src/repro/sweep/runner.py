@@ -15,7 +15,8 @@ simulating, simulates each distinct point once, persists each fresh result
 as soon as it arrives (so an interrupted sweep resumes from its last
 completed point) and journals every transition.  ``jobs <= 1`` executes the
 pending points in-process, in spec order; ``jobs >= 2`` fans them out over a
-process pool.
+process pool.  The simulator and the pool machinery are imported on first
+use, so a run whose every point is cached loads neither.
 
 Execution context: what :func:`execute_point` needs beyond a point's
 parameters -- the trace store and the observability settings -- travels in
@@ -47,18 +48,15 @@ bit-identical to clean ones.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import os
 import time
 import warnings
 from collections import OrderedDict, deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem
+from repro.backend.result import SimulationResult
 from repro.common.errors import ConfigurationError, SweepExecutionError
 from repro.common.hashing import content_digest
 from repro.sweep.cache import ResultCache, result_from_dict, result_to_dict
@@ -320,6 +318,8 @@ def execute_point(point_params: Dict[str, ParamValue],
                         workload=str(params.get("workload", "")))
     try:
         if system_kind == "hardware":
+            from repro.backend.system import TaskSuperscalarSystem
+
             result = TaskSuperscalarSystem(config, observer=observer).run(
                 trace, validate=bool(params.get("validate", False)))
         elif system_kind == "software":
@@ -749,7 +749,17 @@ class SweepRunner:
 
     def _new_executor(self, workers: int,
                       ) -> concurrent.futures.ProcessPoolExecutor:
-        """A fresh pool; workers rebuild the parent's fault plan, if any."""
+        """A fresh pool; workers rebuild the parent's fault plan, if any.
+
+        The parent loads the machine first, so forked workers inherit it
+        instead of each importing it on their first point.
+        """
+        import concurrent.futures
+        import multiprocessing
+
+        import repro.backend.system  # noqa: F401
+        import repro.experiments.common  # noqa: F401
+
         plan = active_fault_plan()
         fault_args = None if plan is None else (plan.spec, plan.state_dir)
         return concurrent.futures.ProcessPoolExecutor(
@@ -803,6 +813,9 @@ class SweepRunner:
         items with its attempt count bumped, so one bad point can exhaust its
         own retry budget without dragging chunk-mates down with it.
         """
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         retry = self.retry
         payloads = [(indexes[0], points[indexes[0]].as_dict())
                     for indexes in pending.values()]

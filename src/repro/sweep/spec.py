@@ -320,16 +320,31 @@ def spec_id_of(points: Sequence[SweepPoint]) -> str:
     return content_digest([point.as_dict() for point in points])
 
 
-def parse_axis_value(text: str) -> ParamValue:
+def _is_string_field(name: str) -> bool:
+    """True when ``name`` is a ``<section>.<field>`` config override whose
+    field holds a string (e.g. ``topology.steal_policy``)."""
+    from repro.common.config import SimulationConfig
+
+    section, _, attr = name.partition(".")
+    if section not in OVERRIDE_SECTIONS:
+        return False
+    return isinstance(getattr(getattr(SimulationConfig(), section), attr, None),
+                      str)
+
+
+def parse_axis_value(text: str, name: str = "") -> ParamValue:
     """Parse one CLI axis value: int, float, bool or bare string.
 
-    Used by ``repro sweep --axis name=v1,v2``; ``"none"`` maps to ``None``.
+    Used by ``repro sweep --axis name=v1,v2``; ``"none"`` maps to ``None``,
+    except on an axis ``name`` that overrides a string config field, where
+    it stays a string: ``topology.steal_policy=none`` names the ``"none"``
+    policy.
     """
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
         return lowered == "true"
     if lowered in ("none", "null"):
-        return None
+        return lowered if _is_string_field(name) else None
     for cast in (int, float):
         try:
             return cast(text)

@@ -26,28 +26,15 @@ Traces are produced either by the workload generators
 StarSs-like runtime (:mod:`repro.runtime`).
 """
 
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
-from repro.trace.io import read_trace, read_trace_tasks, write_trace
-from repro.trace.packed import (PACKED_FORMAT_VERSION, PackedTaskTrace,
-                                PackedTaskView, pack_trace, read_packed,
-                                write_packed)
-from repro.trace.store import TraceStore, canonical_trace_params, trace_digest
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Direction",
-    "OperandRecord",
-    "PACKED_FORMAT_VERSION",
-    "PackedTaskTrace",
-    "PackedTaskView",
-    "TaskRecord",
-    "TaskTrace",
-    "TraceStore",
-    "canonical_trace_params",
-    "pack_trace",
-    "read_packed",
-    "read_trace",
-    "read_trace_tasks",
-    "trace_digest",
-    "write_packed",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.trace.records": ("Direction", "OperandRecord", "TaskRecord",
+                            "TaskTrace"),
+    "repro.trace.io": ("read_trace", "read_trace_tasks", "write_trace"),
+    "repro.trace.packed": ("PACKED_FORMAT_VERSION", "PackedTaskTrace",
+                           "PackedTaskView", "pack_trace", "read_packed",
+                           "write_packed"),
+    "repro.trace.store": ("TraceStore", "canonical_trace_params",
+                          "trace_digest"),
+})

@@ -81,17 +81,27 @@ class KernelProfile:
         return max(1, us_to_cycles(runtime))
 
 
+class _PrefixComplete(Exception):
+    """Raised by :meth:`TraceBuilder.add_task` to stop a generator whose
+    trace already holds ``max_tasks`` tasks (caught in
+    :meth:`Workload.generate`)."""
+
+
 class TraceBuilder:
     """Incrementally builds a :class:`TaskTrace` for a generator.
 
     Wraps an :class:`AddressSpace` plus the task list, and provides the
     ``add_task`` helper that converts ``(kernel profile, operand list)`` pairs
-    into :class:`TaskRecord` entries in creation order.
+    into :class:`TaskRecord` entries in creation order.  With ``max_tasks``
+    set, the builder keeps only that prefix of the trace: the generator is
+    stopped when it tries to add one task more.
     """
 
     def __init__(self, name: str, seed: int = 0,
-                 metadata: Optional[Dict[str, object]] = None):
+                 metadata: Optional[Dict[str, object]] = None,
+                 max_tasks: Optional[int] = None):
         self.name = name
+        self.max_tasks = max_tasks
         self.rng = random.Random(seed)
         self.address_space = AddressSpace()
         self.tasks: List[TaskRecord] = []
@@ -121,6 +131,8 @@ class TraceBuilder:
         Returns:
             The created :class:`TaskRecord`.
         """
+        if len(self.tasks) == self.max_tasks:
+            raise _PrefixComplete
         records = [OperandRecord(address=obj.address, size=obj.size,
                                  direction=direction, name=obj.name)
                    for obj, direction in operands]
@@ -137,7 +149,7 @@ class TraceBuilder:
 
     def build(self) -> TaskTrace:
         """Finalize and return the trace."""
-        if not self.tasks:
+        if not self.tasks and self.max_tasks != 0:
             raise WorkloadError(f"workload {self.name!r} generated no tasks")
         return TaskTrace(self.name, self.tasks, self.metadata)
 
@@ -159,21 +171,31 @@ class Workload:
     #: remaining fast to simulate in Python).
     default_scale: int = 1
 
-    def generate(self, scale: Optional[int] = None, seed: int = 0) -> TaskTrace:
+    def generate(self, scale: Optional[int] = None, seed: int = 0,
+                 max_tasks: Optional[int] = None) -> TaskTrace:
         """Generate a trace.
 
         Args:
             scale: Problem-size knob; each workload documents its meaning
                 (matrix blocks per dimension, frames, iterations, ...).
             seed: Seed for runtime jitter and any randomised structure.
+            max_tasks: Build only the first ``max_tasks`` tasks (the same
+                tasks and metadata as the full trace's prefix); ``None``
+                builds the whole trace.
         """
         if scale is None:
             scale = self.default_scale
         if scale <= 0:
             raise WorkloadError(f"scale must be positive, got {scale}")
+        if max_tasks is not None and max_tasks < 0:
+            raise WorkloadError(f"max_tasks must be non-negative, got {max_tasks}")
         builder = TraceBuilder(self.spec.name, seed=seed,
-                               metadata={"workload": self.spec.name, "scale": scale})
-        self.build(builder, scale)
+                               metadata={"workload": self.spec.name, "scale": scale},
+                               max_tasks=max_tasks)
+        try:
+            self.build(builder, scale)
+        except _PrefixComplete:
+            pass
         return builder.build()
 
     def build(self, builder: TraceBuilder, scale: int) -> None:

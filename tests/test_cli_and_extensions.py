@@ -1,5 +1,7 @@
 """Tests for the CLI and the optional data-transfer accounting extension."""
 
+import json
+
 import pytest
 
 from repro.backend.system import TaskSuperscalarSystem
@@ -104,6 +106,22 @@ class TestCLI:
                      "--max-tasks", "10", "--fast-generator",
                      "--no-cache"]) == 0
         assert "2 points" in capsys.readouterr().out
+
+    def test_sweep_steal_policy_none_axis(self, tmp_path, capsys):
+        # Regression: "none" on this axis used to parse to None, and the
+        # topology config rejected it.
+        args = ["sweep", "--workload", "Cholesky", "--scale-factor", "0.3",
+                "--artifacts", str(tmp_path)]
+        assert main(args + ["--axis", "topology.steal_policy=none,nearest"]) == 0
+        assert "topology.steal_policy=none ->" in capsys.readouterr().out
+        assert main(args) == 0
+        capsys.readouterr()
+        entries = [json.loads(path.read_text())
+                   for path in tmp_path.glob("objects/*/*.json")]
+        results = {entry["params"].get("topology.steal_policy", "default"):
+                   entry["result"] for entry in entries}
+        assert sorted(results) == ["default", "nearest", "none"]
+        assert results["none"] == results["default"]
 
     def test_campaign_list(self, capsys):
         assert main(["campaign", "list"]) == 0

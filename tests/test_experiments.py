@@ -7,6 +7,7 @@ full-size sweeps live in the benchmark harness.
 import pytest
 
 from repro.experiments import capacity, common, decode_rate, figure1, figure3, scaling, table1, table2
+from repro.trace.packed import pack_trace
 from repro.workloads import registry
 
 
@@ -17,6 +18,23 @@ class TestCommonHelpers:
     def test_experiment_trace_truncation(self):
         trace = common.experiment_trace("MatMul", scale_factor=0.5, max_tasks=50)
         assert len(trace) == 50
+
+    @pytest.mark.parametrize("name", registry.all_workload_names())
+    def test_max_tasks_builds_the_full_trace_prefix(self, name):
+        # The generator stops at max_tasks; what it built must be exactly
+        # the prefix of the full trace, down to the packed bytes.
+        for scale_factor in (1.0, 0.5):
+            full = common.experiment_trace(name, scale_factor=scale_factor)
+            size = len(full)
+            for cut in (1, size // 2, size - 1, size, size + 5):
+                prefix = common.experiment_trace(name, scale_factor=scale_factor,
+                                                 max_tasks=cut)
+                expected = full.subset(cut)
+                assert prefix.name == expected.name
+                assert prefix.tasks == expected.tasks
+                assert prefix.metadata == expected.metadata
+                assert (pack_trace(prefix).to_bytes()
+                        == pack_trace(expected).to_bytes())
 
     def test_experiment_trace_synthetic_defaults(self):
         # Workloads without an EXPERIMENT_SCALES entry scale from their own

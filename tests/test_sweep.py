@@ -133,6 +133,10 @@ class TestSweepSpec:
         assert parse_axis_value("true") is True
         assert parse_axis_value("none") is None
         assert parse_axis_value("hardware") == "hardware"
+        # A string config field keeps "none" as its value.
+        assert parse_axis_value("none", "topology.steal_policy") == "none"
+        assert parse_axis_value("none", "topology.num_frontends") is None
+        assert parse_axis_value("4", "topology.num_frontends") == 4
 
 
 class TestScalarCanonicalization:
