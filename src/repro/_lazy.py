@@ -28,8 +28,9 @@ def lazy_exports(package: str, table: Mapping[str, Sequence[str]],
     """``(__getattr__, __dir__, __all__)`` for ``package``.
 
     ``table`` maps each submodule to the names the package re-exports from
-    it.  A resolved name is stored in the package's namespace, so only its
-    first access goes through ``__getattr__``.
+    it; a name may also be a submodule of that module.  A resolved name is
+    stored in the package's namespace, so only its first access goes through
+    ``__getattr__``.
     """
     origin: Dict[str, str] = {name: module for module, names in table.items()
                               for name in names}
@@ -39,7 +40,13 @@ def lazy_exports(package: str, table: Mapping[str, Sequence[str]],
         if module is None:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(module), name)
+        source = importlib.import_module(module)
+        try:
+            value = getattr(source, name)
+        except AttributeError:
+            # As with ``from module import name``: a not-yet-imported
+            # submodule of a (lazy) package.
+            value = importlib.import_module(f"{module}.{name}")
         setattr(sys.modules[package], name, value)
         return value
 

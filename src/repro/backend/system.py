@@ -85,15 +85,10 @@ class TaskSuperscalarSystem:
 
     def _on_task_complete(self, task, record) -> None:
         if len(self.frontends) == 1:
-            self.frontend.sample_occupancy()
-            self._window_peak = max(self._window_peak,
-                                    self.frontend.window_occupancy())
-            return
-        total = 0
-        for fe in self.frontends:
-            fe.sample_occupancy()
-            total += fe.window_occupancy()
-        self._window_peak = max(self._window_peak, total)
+            occupancy = self.frontend.sample_occupancy()
+        else:
+            occupancy = sum(fe.sample_occupancy() for fe in self.frontends)
+        self._window_peak = max(self._window_peak, occupancy)
 
     # -- Aggregated measurements --------------------------------------------------------
 

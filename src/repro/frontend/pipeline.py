@@ -68,6 +68,10 @@ class TaskSuperscalarFrontend:
             TaskReservationStation(engine, trs_base + i, config, self.stats)
             for i in range(config.num_trs)
         ]
+        # Each TRS's (stable) task table: the window occupancy is sampled on
+        # every task completion, and summing mapped lens is several times
+        # cheaper than the per-TRS inflight_tasks property chain.
+        self._trs_tables = [trs._tasks for trs in self.trs_list]
         self.orts: List[ObjectRenamingTable] = [
             ObjectRenamingTable(engine, ort_base + i, config, self.stats)
             for i in range(config.num_ort)
@@ -175,17 +179,19 @@ class TaskSuperscalarFrontend:
 
     def window_occupancy(self) -> int:
         """Number of tasks currently held across all TRSs."""
-        return sum(trs.inflight_tasks for trs in self.trs_list)
+        return sum(map(len, self._trs_tables))
 
     def trs_blocks_in_use(self) -> int:
         """Total TRS blocks currently allocated across all TRSs."""
         return sum(trs.storage.used_blocks for trs in self.trs_list)
 
-    def sample_occupancy(self) -> None:
-        """Record a window-occupancy sample into the statistics collector."""
+    def sample_occupancy(self) -> int:
+        """Record a window-occupancy sample into the statistics collector;
+        returns the sampled occupancy."""
         occupancy = self.window_occupancy()
         self._stat_window_samples.add(self.engine.now, occupancy)
         self._stat_window_occupancy.add(occupancy)
+        return occupancy
 
     def modules(self) -> List:
         """Every packet-processing module of the frontend, gateway first."""
@@ -198,13 +204,9 @@ class TaskSuperscalarFrontend:
         for module in self.modules():
             module.bind_observer(observer)
         if observer is not None:
-            # Prebind each TRS's (stable) task table: the probe is sampled
-            # every advance interval, and summing mapped lens is several
-            # times cheaper than the window_occupancy property chain.
-            tables = [trs._tasks for trs in self.trs_list]
             prefix = self.prefix
             observer.add_probe(prefix + "frontend.window_tasks",
-                               lambda _tables=tables: sum(map(len, _tables)))
+                               self.window_occupancy)
             observer.add_probe(prefix + "gateway.buffer",
                                lambda: self.gateway.buffer_occupancy)
             observer.add_probe(prefix + "ready_queue.depth",

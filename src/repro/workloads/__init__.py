@@ -7,13 +7,15 @@ package synthesises task traces whose *structure* (dependency patterns and
 operand counts) follows the algorithms, and whose per-task runtimes and data
 sizes follow the distributions reported in Table I.
 
-Beyond the benchmarks, :mod:`repro.workloads.synthetic` provides six
-parameterized task-graph families (fork/join, layered wavefronts, stencils,
-reduction trees, pipeline chains and random DAGs) for design-space stress
-studies, and :mod:`repro.workloads.registry` is a pluggable registry that
-makes any registered generator -- built-in or user-defined via
+Beyond the benchmarks, :mod:`repro.workloads.synthetic` provides nine
+parameterized task-graph families (fork/join, layered wavefronts, 1-D, 2-D
+and 3-D stencils, reduction trees, pipeline chains, random DAGs and
+runtime-skewed lanes) for design-space stress studies, and
+:mod:`repro.workloads.registry` is a pluggable registry that makes any
+registered generator -- built-in or user-defined via
 :func:`~repro.workloads.registry.register_workload` -- first-class in the
-CLI, the experiment drivers and sweep grids.
+CLI, the experiment drivers and sweep grids.  The package re-exports its
+names lazily, and the registry imports a generator only when it is used.
 
 Public entry points:
 
@@ -26,36 +28,13 @@ Public entry points:
   :class:`repro.workloads.cholesky.CholeskyWorkload`.
 """
 
-from repro.workloads.base import KernelProfile, Workload, WorkloadSpec
-from repro.workloads.registry import (
-    TABLE1,
-    all_workload_names,
-    canonical_spec,
-    generate,
-    get_spec,
-    get_workload,
-    parse_workload_spec,
-    register_workload,
-    synthetic_names,
-    table1_names,
-    table1_rows,
-    unregister_workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelProfile",
-    "Workload",
-    "WorkloadSpec",
-    "TABLE1",
-    "all_workload_names",
-    "canonical_spec",
-    "generate",
-    "get_spec",
-    "get_workload",
-    "parse_workload_spec",
-    "register_workload",
-    "synthetic_names",
-    "table1_names",
-    "table1_rows",
-    "unregister_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.base": ("KernelProfile", "Workload", "WorkloadSpec"),
+    "repro.workloads.registry": (
+        "TABLE1", "all_workload_names", "canonical_spec", "generate",
+        "get_spec", "get_workload", "parse_workload_spec",
+        "register_workload", "synthetic_names", "table1_names",
+        "table1_rows", "unregister_workload"),
+})

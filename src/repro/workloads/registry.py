@@ -1,12 +1,20 @@
 """Pluggable workload registry.
 
-The registry maps workload names to their generator classes.  The nine
-Table I benchmarks register themselves at import time under the ``table1``
-category and the synthetic task-graph families (:mod:`repro.workloads.synthetic`)
-under ``synthetic``; external code can add its own generators with
-:func:`register_workload` (usable as a decorator) and they become first-class
-everywhere a workload name is accepted -- the CLI, the experiment drivers and
-the sweep subsystem.
+The registry maps workload names to their generator classes.  The built-in
+generators -- the nine Table I benchmarks (category ``table1``) and the
+synthetic task-graph families of :mod:`repro.workloads.synthetic`
+(``synthetic``) -- are rows of one table, ``_BUILTINS``, giving each name
+with the module and class that implement it.  A built-in's module is
+imported the first time something needs its class (:attr:`RegistryEntry.cls`),
+so name-only queries -- listing, resolving and validating a bare ``--workload``
+-- import no generator, and generating a trace imports only the generator it
+uses.  Adding a built-in means adding a row to that table.
+
+External code adds its own generators with :func:`register_workload` (usable
+as a decorator); they become first-class everywhere a workload name is
+accepted -- the CLI, the experiment drivers and the sweep subsystem.  A user
+registration may replace a built-in (``replace=True``); the replacement
+holds whether or not the built-in's module has been imported.
 
 Lookups are case-insensitive, and every accessor also understands
 *parameterized workload specs* of the form ``"name:key=value,key=value"``
@@ -24,12 +32,14 @@ and checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import WorkloadError
-from repro.trace.records import TaskTrace
-from repro.workloads.base import Workload, WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.trace.records import TaskTrace
+    from repro.workloads.base import Workload, WorkloadSpec
 
 #: Registration categories of the built-in generators.
 CATEGORY_TABLE1 = "table1"
@@ -40,17 +50,70 @@ CATEGORY_CUSTOM = "custom"
 ParamScalar = Union[str, int, float, bool, None]
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One registered workload generator."""
+#: The built-in generators in registration order (Table I's row order, then
+#: the synthetic families): ``(name, module, class name, category)``.
+_BUILTINS: Tuple[Tuple[str, str, str, str], ...] = (
+    ("Cholesky", "repro.workloads.cholesky", "CholeskyWorkload", CATEGORY_TABLE1),
+    ("MatMul", "repro.workloads.matmul", "MatMulWorkload", CATEGORY_TABLE1),
+    ("FFT", "repro.workloads.fft", "FFTWorkload", CATEGORY_TABLE1),
+    ("H264", "repro.workloads.h264", "H264Workload", CATEGORY_TABLE1),
+    ("KMeans", "repro.workloads.kmeans", "KMeansWorkload", CATEGORY_TABLE1),
+    ("Knn", "repro.workloads.knn", "KnnWorkload", CATEGORY_TABLE1),
+    ("PBPI", "repro.workloads.pbpi", "PBPIWorkload", CATEGORY_TABLE1),
+    ("SPECFEM", "repro.workloads.specfem", "SPECFEMWorkload", CATEGORY_TABLE1),
+    ("STAP", "repro.workloads.stap", "STAPWorkload", CATEGORY_TABLE1),
+    ("fork_join", "repro.workloads.synthetic", "ForkJoinWorkload",
+     CATEGORY_SYNTHETIC),
+    ("layered", "repro.workloads.synthetic", "LayeredWorkload",
+     CATEGORY_SYNTHETIC),
+    ("stencil", "repro.workloads.synthetic", "StencilWorkload",
+     CATEGORY_SYNTHETIC),
+    ("reduction_tree", "repro.workloads.synthetic", "ReductionTreeWorkload",
+     CATEGORY_SYNTHETIC),
+    ("pipeline_chain", "repro.workloads.synthetic", "PipelineChainWorkload",
+     CATEGORY_SYNTHETIC),
+    ("random_dag", "repro.workloads.synthetic", "RandomDagWorkload",
+     CATEGORY_SYNTHETIC),
+    ("stencil2d", "repro.workloads.synthetic", "Stencil2DWorkload",
+     CATEGORY_SYNTHETIC),
+    ("stencil3d", "repro.workloads.synthetic", "Stencil3DWorkload",
+     CATEGORY_SYNTHETIC),
+    ("skewed_lanes", "repro.workloads.synthetic", "SkewedLanesWorkload",
+     CATEGORY_SYNTHETIC),
+)
 
-    name: str
-    cls: type
-    category: str
+
+class RegistryEntry:
+    """One registered workload generator.
+
+    A user registration carries its class; a built-in carries the module and
+    class name to import it from, and imports it on the first read of
+    :attr:`cls`.
+    """
+
+    __slots__ = ("name", "category", "_cls", "_origin")
+
+    def __init__(self, name: str, category: str, cls: Optional[type] = None,
+                 origin: Optional[Tuple[str, str]] = None):
+        self.name = name
+        self.category = category
+        self._cls = cls
+        self._origin = origin
+
+    @property
+    def cls(self) -> type:
+        """The generator class (imported on first access for a built-in)."""
+        if self._cls is None:
+            module, attr = self._origin
+            self._cls = getattr(importlib.import_module(module), attr)
+        return self._cls
 
 
 #: Registered workloads keyed by lower-cased name, in registration order.
-_REGISTRY: Dict[str, RegistryEntry] = {}
+_REGISTRY: Dict[str, RegistryEntry] = {
+    name.lower(): RegistryEntry(name, category, origin=(module, attr))
+    for name, module, attr, category in _BUILTINS
+}
 
 
 def register_workload(cls: Optional[type] = None, *, category: str = CATEGORY_CUSTOM,
@@ -72,6 +135,8 @@ def register_workload(cls: Optional[type] = None, *, category: str = CATEGORY_CU
     Returns:
         The registered class (so the decorator is transparent).
     """
+    from repro.workloads.base import WorkloadSpec
+
     def _register(klass: type) -> type:
         spec = getattr(klass, "spec", None)
         if not isinstance(spec, WorkloadSpec) or not spec.name:
@@ -83,7 +148,7 @@ def register_workload(cls: Optional[type] = None, *, category: str = CATEGORY_CU
             raise WorkloadError(
                 f"workload {spec.name!r} is already registered "
                 f"(by {_REGISTRY[key].cls.__name__}); pass replace=True to override")
-        _REGISTRY[key] = RegistryEntry(name=spec.name, cls=klass, category=category)
+        _REGISTRY[key] = RegistryEntry(spec.name, category, cls=klass)
         return klass
 
     if cls is None:
@@ -302,35 +367,18 @@ def table1_rows(scale_overrides: Optional[Dict[str, int]] = None,
 
 
 # ---------------------------------------------------------------------------
-# Built-in registrations
+# Table I catalogue
 # ---------------------------------------------------------------------------
 
-def _register_builtins() -> None:
-    from repro.workloads.cholesky import CholeskyWorkload
-    from repro.workloads.fft import FFTWorkload
-    from repro.workloads.h264 import H264Workload
-    from repro.workloads.kmeans import KMeansWorkload
-    from repro.workloads.knn import KnnWorkload
-    from repro.workloads.matmul import MatMulWorkload
-    from repro.workloads.pbpi import PBPIWorkload
-    from repro.workloads.specfem import SPECFEMWorkload
-    from repro.workloads.stap import STAPWorkload
-
-    # Registration order matches Table I's row order.
-    for cls in (CholeskyWorkload, MatMulWorkload, FFTWorkload, H264Workload,
-                KMeansWorkload, KnnWorkload, PBPIWorkload, SPECFEMWorkload,
-                STAPWorkload):
-        register_workload(cls, category=CATEGORY_TABLE1)
-
-
-_register_builtins()
-
-#: Table I: application name -> published characteristics.
-TABLE1: Dict[str, WorkloadSpec] = {
-    entry.name: entry.cls.spec
-    for entry in _REGISTRY.values() if entry.category == CATEGORY_TABLE1
-}
-
-# Importing the synthetic module registers the six task-graph families, so
-# any entry point that reaches the registry sees the full catalogue.
-import repro.workloads.synthetic  # noqa: E402,F401  (self-registration)
+def __getattr__(name: str) -> object:
+    """Build ``TABLE1`` (Table I: application name -> published
+    characteristics) on first access; it needs the nine generator modules."""
+    if name != "TABLE1":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    table: Dict[str, WorkloadSpec] = {
+        row_name: getattr(importlib.import_module(module), attr).spec
+        for row_name, module, attr, category in _BUILTINS
+        if category == CATEGORY_TABLE1
+    }
+    globals()["TABLE1"] = table
+    return table

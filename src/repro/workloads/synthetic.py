@@ -3,7 +3,7 @@
 The nine Table I benchmarks pin down realistic operating points, but the
 pipeline's interesting regimes -- decode-rate saturation, ORT/OVT renaming
 pressure, TRS window exhaustion -- are properties of *graph shape*.  This
-module provides six parameterized graph families, each a
+module provides nine parameterized graph families, each a
 :class:`~repro.workloads.base.Workload` built on the shared
 :class:`~repro.workloads.base.TraceBuilder`, fully deterministic per seed:
 
@@ -22,6 +22,11 @@ module provides six parameterized graph families, each a
                           keep the chains concurrent -- grows with the knob.
 ``random_dag``            Random DAG: each task reads up to ``fanout`` outputs
                           sampled from the last ``dep_distance`` producers.
+``stencil2d``             In-place 2-D cross stencil over a ``width x width``
+                          grid.
+``stencil3d``             In-place 3-D cross stencil over a ``width^3`` grid.
+``skewed_lanes``          ``width`` independent INOUT lanes whose task
+                          runtimes grow linearly with the lane index.
 ========================  ===================================================
 
 Orthogonal knobs shared by every family:
@@ -39,9 +44,10 @@ Orthogonal knobs shared by every family:
 
 All structure and runtimes are drawn from the builder's seeded RNG, so the
 same ``(family, knobs, scale, seed)`` always produces a bit-identical trace.
-The families register themselves under the ``synthetic`` category, making
-them first-class in the CLI, the experiment drivers and sweep grids
-(``workload.<knob>`` axes; see :mod:`repro.sweep.spec`).
+The registry's built-in table lists the families under the ``synthetic``
+category (:mod:`repro.workloads.registry`), making them first-class in the
+CLI, the experiment drivers and sweep grids (``workload.<knob>`` axes; see
+:mod:`repro.sweep.spec`).
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from repro.common.units import KB, us_to_cycles
 from repro.runtime.memory import MemoryObject
 from repro.trace.records import Direction
 from repro.workloads.base import KernelProfile, TraceBuilder, Workload, WorkloadSpec
-from repro.workloads.registry import CATEGORY_SYNTHETIC, register_workload
 
 #: Hard operand ceiling of the paper's TRS block layout (1 main block with 4
 #: operands + 3 indirect blocks of 5; Figure 11).
@@ -289,7 +294,6 @@ def _synthetic_spec(name: str, description: str) -> WorkloadSpec:
                         avg_runtime_us=5.0, decode_limit_ns=4.0 * 1000.0 / 256)
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class ForkJoinWorkload(SyntheticWorkload):
     """Repeated fork / parallel-workers / tree-join phases.
 
@@ -317,7 +321,6 @@ class ForkJoinWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class LayeredWorkload(SyntheticWorkload):
     """Wavefront: layers of ``width`` tasks reading the previous layer.
 
@@ -354,7 +357,6 @@ class LayeredWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class StencilWorkload(SyntheticWorkload):
     """In-place 1-D stencil over ``width`` cells for ``depth * scale`` steps.
 
@@ -396,7 +398,6 @@ class StencilWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class ReductionTreeWorkload(SyntheticWorkload):
     """Rounds of ``width`` leaf producers reduced by a ``fanout``-ary tree.
 
@@ -424,7 +425,6 @@ class ReductionTreeWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class PipelineChainWorkload(SyntheticWorkload):
     """Independent chains emitted in runs of ``dep_distance`` steps per chain.
 
@@ -458,7 +458,6 @@ class PipelineChainWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class RandomDagWorkload(SyntheticWorkload):
     """Seeded random DAG with a bounded dependency horizon.
 
@@ -501,7 +500,6 @@ class RandomDagWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class Stencil2DWorkload(SyntheticWorkload):
     """In-place 2-D cross stencil over a ``width x width`` grid.
 
@@ -554,7 +552,6 @@ class Stencil2DWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class Stencil3DWorkload(SyntheticWorkload):
     """In-place 3-D cross stencil over a ``width^3`` grid.
 
@@ -609,7 +606,6 @@ class Stencil3DWorkload(SyntheticWorkload):
             del recent[:-4 * self.width]
 
 
-@register_workload(category=CATEGORY_SYNTHETIC)
 class SkewedLanesWorkload(SyntheticWorkload):
     """Independent lanes with linearly skewed per-lane task runtimes.
 

@@ -1,10 +1,12 @@
 """Start-up cost: each ``repro`` process imports only what its command uses.
 
-The package ``__init__`` files re-export their names lazily, and the sweep
-runner loads the machine and the process pool on first use, so ``import
-repro`` and a fully cached ``repro sweep`` never load the simulator.  The
-import checks run in fresh interpreters, because this test process has long
-since imported everything.
+The package ``__init__`` files re-export their names lazily, the workload
+registry imports a generator the first time its class is needed, and the
+sweep runner loads the machine and the process pool on first use, so
+``import repro``, ``import repro.cli`` and a fully cached ``repro sweep``
+never load the simulator or a workload generator.  The import checks run in
+fresh interpreters, because this test process has long since imported
+everything.
 """
 
 from __future__ import annotations
@@ -23,14 +25,24 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The packages whose ``__init__`` re-exports names lazily.
 LAZY_PACKAGES = ("repro", "repro.backend", "repro.common", "repro.runtime",
-                 "repro.trace", "repro.obs", "repro.sweep")
+                 "repro.trace", "repro.obs", "repro.sweep", "repro.workloads")
 
-#: Modules a fully cached sweep must not load.
+#: The workload generators and the memory model they build on: resolving a
+#: workload name (``--workload`` at parse time) must load none of them.
+GENERATOR_MODULES = tuple(
+    f"repro.workloads.{name}"
+    for name in ("cholesky", "matmul", "fft", "h264", "kmeans", "knn", "pbpi",
+                 "specfem", "stap", "synthetic", "base")
+) + ("repro.runtime.memory",)
+
+#: Modules a fully cached sweep must not load.  (It does load
+#: ``repro.trace.records``: the trace store imports the packed-trace codec.)
 CACHED_SWEEP_SKIPS = ("repro.sim", "repro.frontend", "repro.cores",
                       "repro.backend.system", "repro.backend.scheduler",
                       "repro.topology", "repro.software", "repro.memsys",
                       "repro.experiments", "repro.sweep.campaign",
-                      "repro.obs", "multiprocessing", "concurrent.futures")
+                      "repro.obs", "multiprocessing", "concurrent.futures",
+                      *GENERATOR_MODULES)
 
 _SWEEP_ARGS = ["sweep", "--workload", "Cholesky",
                "--axis", "topology.num_frontends=1,2",
@@ -65,6 +77,11 @@ def test_import_repro_loads_no_subsystem():
                  "repro.topology", "repro.software", "repro.workloads",
                  "repro.sweep")
     assert _offenders(loaded, forbidden) == []
+
+
+def test_import_cli_loads_no_generator():
+    forbidden = GENERATOR_MODULES + ("repro.trace.records",)
+    assert _offenders(_loaded_after("import repro.cli"), forbidden) == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -117,3 +134,40 @@ def test_simulation_result_keeps_its_old_import_path():
     from repro.backend.system import SimulationResult as legacy
 
     assert SimulationResult is leaf is legacy
+
+
+#: Replaces ``random_dag`` before ``repro.workloads.synthetic`` is imported,
+#: then resolves ``fork_join`` (which imports it).
+_REPLACE_SCRIPT = """
+import json, sys
+from repro.workloads import registry
+from repro.workloads.base import Workload, WorkloadSpec
+
+class Replacement(Workload):
+    spec = WorkloadSpec(name="random_dag", domain="Test", description="x",
+                        avg_data_kb=1.0, min_runtime_us=1.0, med_runtime_us=1.0,
+                        avg_runtime_us=1.0, decode_limit_ns=4.0)
+
+before = "repro.workloads.synthetic" in sys.modules
+registry.register_workload(Replacement, replace=True)
+fork_join = registry.get_entry("fork_join").cls
+entry = registry.get_entry("random_dag")
+print(json.dumps({
+    "synthetic_loaded_before": before,
+    "synthetic_loaded_after": "repro.workloads.synthetic" in sys.modules,
+    "fork_join": fork_join.__name__,
+    "random_dag": [entry.cls.__name__, entry.category],
+    "names": registry.synthetic_names(),
+}))
+"""
+
+
+def test_replacing_a_builtin_before_its_module_loads():
+    assert _run_python(_REPLACE_SCRIPT) == {
+        "synthetic_loaded_before": False,
+        "synthetic_loaded_after": True,
+        "fork_join": "ForkJoinWorkload",
+        "random_dag": ["Replacement", "custom"],
+        "names": ["fork_join", "layered", "stencil", "reduction_tree",
+                  "pipeline_chain", "stencil2d", "stencil3d", "skewed_lanes"],
+    }
