@@ -8,7 +8,9 @@ Three untimed data structures back the timed pipeline modules:
   operands, plus up to three indirect blocks of five operands each (19
   operands maximum).  Free blocks are chained in a list whose first 64
   entries are cached in a small SRAM buffer, so a typical allocation is
-  satisfied in one cycle.
+  satisfied in one cycle.  The model keeps that list implicitly -- a stack
+  of freed blocks over an index of the first never-used block -- so its
+  memory follows the blocks a run touches, not the configured capacity.
 * :class:`RenamingTable` -- the ORT's map from object base address to its most
   recent user and current version, organised as a 16-way set-associative
   cache that never evicts (a full set stalls the gateway instead).
@@ -59,6 +61,16 @@ class BlockStorage:
         sram_buffer_entries: Number of free-block addresses cached in the SRAM
             head buffer (64); allocations served from the buffer cost a single
             cycle, refills cost an eDRAM access.
+
+    The hardware free list starts as every block in ascending order and
+    takes freed blocks back at its head, so it hands out the most recently
+    freed block first and untouched blocks in ascending order once no freed
+    one is left.  The model stores exactly that list without materialising
+    it: a LIFO stack of freed blocks, the index of the lowest block never
+    handed out, and the free-block count.  Blocks come off the stack first,
+    then from the untouched index -- the same order, so block indices and
+    task slots are what the full list would give -- and the pool grows on
+    use instead of being built at construction, as the ORT and OVT rows do.
     """
 
     def __init__(self, num_blocks: int, block_bytes: int = 128,
@@ -74,9 +86,12 @@ class BlockStorage:
         self.operands_per_indirect_block = operands_per_indirect_block
         self.max_indirect_blocks = max_indirect_blocks
         self.sram_buffer_entries = sram_buffer_entries
-        # Free list: a simple LIFO of block indices.  The SRAM buffer is the
-        # tail of this list; refills are tracked for statistics.
-        self._free: List[int] = list(range(num_blocks - 1, -1, -1))
+        # Free list = freed-block stack (head at its tail) over the untouched
+        # blocks ``_next_untouched .. num_blocks - 1``.  The SRAM buffer is the
+        # head of this list; refills are tracked for statistics.
+        self._freed: List[int] = []
+        self._next_untouched = 0
+        self._free_count = num_blocks
         self._sram_level = min(sram_buffer_entries, num_blocks)
         self.sram_refills = 0
         self.allocations = 0
@@ -112,16 +127,16 @@ class BlockStorage:
     @property
     def free_blocks(self) -> int:
         """Number of currently free blocks."""
-        return len(self._free)
+        return self._free_count
 
     @property
     def used_blocks(self) -> int:
         """Number of currently allocated blocks."""
-        return self.num_blocks - len(self._free)
+        return self.num_blocks - self._free_count
 
     def can_allocate(self, num_operands: int) -> bool:
         """True if a task with ``num_operands`` operands fits right now."""
-        return self.blocks_for(num_operands) <= len(self._free)
+        return self.blocks_for(num_operands) <= self._free_count
 
     def allocate(self, num_operands: int) -> Tuple[int, List[int]]:
         """Allocate blocks for a task.
@@ -136,15 +151,23 @@ class BlockStorage:
                 gateway only sends allocation requests to TRSs with space).
         """
         needed = self.blocks_for(num_operands)
-        if needed > len(self._free):
+        if needed > self._free_count:
             raise AllocationError(
-                f"cannot allocate {needed} blocks; only {len(self._free)} free"
+                f"cannot allocate {needed} blocks; only {self._free_count} free"
             )
-        blocks = [self._free.pop() for _ in range(needed)]
+        freed = self._freed
+        blocks = []
+        for _ in range(needed):
+            if freed:
+                blocks.append(freed.pop())
+            else:
+                blocks.append(self._next_untouched)
+                self._next_untouched += 1
+        self._free_count -= needed
         served_from_sram = min(needed, self._sram_level)
         self._sram_level -= served_from_sram
-        if self._sram_level == 0 and self._free:
-            self._sram_level = min(self.sram_buffer_entries, len(self._free))
+        if self._sram_level == 0 and self._free_count:
+            self._sram_level = min(self.sram_buffer_entries, self._free_count)
             self.sram_refills += 1
         self.allocations += 1
         # Track internal fragmentation: unused operand slots in the last block.
@@ -162,8 +185,9 @@ class BlockStorage:
         for block in [main_block, *indirect_blocks]:
             if block < 0 or block >= self.num_blocks:
                 raise AllocationError(f"block index {block} out of range")
-            self._free.append(block)
-        self._sram_level = min(self.sram_buffer_entries, len(self._free))
+            self._freed.append(block)
+            self._free_count += 1
+        self._sram_level = min(self.sram_buffer_entries, self._free_count)
 
     def utilization(self) -> float:
         """Fraction of blocks currently allocated."""

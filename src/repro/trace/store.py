@@ -43,15 +43,22 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
+from repro._lazy import lazy_exports
 from repro.common.errors import ArtifactIntegrityWarning, TraceFormatError
 from repro.common.fileio import quarantine_file
 from repro.common.hashing import content_digest
-from repro.trace.packed import (PACKED_FORMAT_VERSION, PACKED_MAGIC,
-                                PackedTaskTrace, pack_trace, read_packed,
-                                read_packed_header, write_packed)
-from repro.trace.records import TaskTrace
+
+if TYPE_CHECKING:
+    from repro.trace.packed import PackedTaskTrace
+    from repro.trace.records import TaskTrace
+
+# The packed-trace codec (and the trace records it builds on) loads on first
+# use, so a sweep answered entirely from the result cache never imports it.
+__getattr__, __dir__, _ = lazy_exports(__name__, {
+    "repro.trace.packed": ("PACKED_FORMAT_VERSION",),
+})
 
 #: Bump when the key derivation changes (forces a clean re-bake).
 TRACE_KEY_SCHEMA = 1
@@ -69,6 +76,16 @@ ENTRY_SUFFIX = ".rpt"
 TMP_GRACE_SECONDS = 3600.0
 
 ParamScalar = Union[str, int, float, bool, None]
+
+
+def read_packed(path: Union[str, Path]) -> PackedTaskTrace:
+    """Load one packed trace file (:func:`repro.trace.packed.read_packed`).
+
+    :meth:`TraceStore.get` reads every entry through this module-level name.
+    """
+    from repro.trace.packed import read_packed as read_file
+
+    return read_file(path)
 
 
 def canonical_trace_params(workload: str, scale_factor: float = 1.0,
@@ -157,6 +174,8 @@ class TraceStore:
     def _stale_version(self, path: Path) -> bool:
         """True when ``path`` is a well-formed trace of a *different* format
         version -- stale, not damaged, so it must not be quarantined."""
+        from repro.trace.packed import PACKED_FORMAT_VERSION, PACKED_MAGIC
+
         try:
             with open(path, "rb") as handle:
                 raw = handle.read(8)
@@ -203,6 +222,8 @@ class TraceStore:
     def put(self, digest: str, trace: Union[PackedTaskTrace, TaskTrace],
             params: Optional[Dict[str, ParamScalar]] = None) -> Path:
         """Atomically persist ``trace`` under ``digest``; returns the path."""
+        from repro.trace.packed import write_packed
+
         path = write_packed(trace, self.path_for(digest),
                             annotations={"trace_params": params} if params else None)
         from repro.sweep.faults import fire as fire_fault
@@ -223,6 +244,8 @@ class TraceStore:
         parent-side pre-bake, so leaving a damaged file in place would let
         the fan-out dispatch workers against a trace none of them can load.
         """
+        from repro.trace.packed import read_packed_header
+
         path = self.path_for(digest)
         try:
             read_packed_header(path)
@@ -241,6 +264,8 @@ class TraceStore:
         Returns ``(packed_trace, baked)`` where ``baked`` is True when the
         trace had to be generated (and was persisted for every later reader).
         """
+        from repro.trace.packed import pack_trace
+
         digest = content_digest(params)
         packed = self.get(digest)
         if packed is not None:
@@ -254,6 +279,8 @@ class TraceStore:
 
     def __len__(self) -> int:
         """Number of *readable* entries (matches get/contains/entries)."""
+        from repro.trace.packed import read_packed_header
+
         if not self.root.is_dir():
             return 0
         count = 0
@@ -267,6 +294,8 @@ class TraceStore:
 
     def entries(self) -> List[StoreEntry]:
         """Readable entries in deterministic (digest) order, for ``ls``."""
+        from repro.trace.packed import read_packed_header
+
         found: List[StoreEntry] = []
         if not self.root.is_dir():
             return found
@@ -303,6 +332,8 @@ class TraceStore:
         left in :attr:`last_gc_bytes` -- on a dry run, the size that a real
         run would reclaim.
         """
+        from repro.trace.packed import read_packed_header
+
         removed: List[Path] = []
         self.last_gc_bytes = 0
         if not self.root.is_dir():

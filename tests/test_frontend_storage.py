@@ -1,7 +1,11 @@
 """Tests for the TRS block allocator, ORT renaming table and OVT version table."""
 
+import tracemalloc
+
 import pytest
 
+from repro.backend.system import TaskSuperscalarSystem
+from repro.common.config import default_table2_config
 from repro.common.errors import AllocationError, CapacityError
 from repro.common.ids import OperandID
 from repro.frontend.storage import (
@@ -85,6 +89,32 @@ class TestBlockStorage:
         assert storage.utilization() == 0.0
         storage.allocate(4)
         assert storage.utilization() == pytest.approx(0.1)
+
+
+def _build_bytes(config) -> int:
+    """Bytes still allocated after building one machine for ``config``."""
+    TaskSuperscalarSystem(config)  # imports and one-time caches
+    tracemalloc.start()
+    try:
+        system = TaskSuperscalarSystem(config)  # alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMachineFootprint:
+    """The TRS pools grow on use, so building a machine allocates the same
+    memory whatever TRS capacity is configured."""
+
+    def test_build_cost_is_independent_of_trs_capacity(self):
+        config = default_table2_config()
+        large = config.with_frontend(
+            total_trs_capacity_bytes=8 * config.frontend.total_trs_capacity_bytes)
+        assert abs(_build_bytes(large) - _build_bytes(config)) < 64 * 1024
+
+    def test_four_frontend_machine_is_small(self):
+        config = default_table2_config().with_topology(num_frontends=4)
+        assert _build_bytes(config) < 2 * 1024 * 1024
 
 
 def entry(address, trs=0, slot=0, index=0, version=0, writer=True, size=64):

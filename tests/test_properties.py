@@ -3,7 +3,8 @@
 The properties cover:
 
 * the TRS block allocator (no double allocation, conservation of blocks,
-  layout arithmetic),
+  layout arithmetic, the same blocks and statistics as a materialised free
+  list),
 * the ORT renaming table (occupancy bookkeeping and pressure detection under
   arbitrary insert/remove interleavings),
 * the OVT version table (usage counts never go negative, releases are
@@ -26,6 +27,7 @@ import pytest
 
 from repro.analysis.metrics import decode_rate_limit_ns
 from repro.backend.system import run_trace
+from repro.common.errors import AllocationError
 from repro.common.ids import OperandID
 from repro.frontend.storage import BlockStorage, RenamingEntry, RenamingTable, VersionTable
 from repro.runtime.taskgraph import build_dependency_graph
@@ -72,7 +74,83 @@ def trace_strategy(draw, max_tasks: int = 18):
 # Block allocator
 # ---------------------------------------------------------------------------
 
+class _EagerFreeList:
+    """Reference model of the TRS pool: the whole free list materialised as
+    one Python list, ``[n - 1, ..., 1, 0]``, popped and appended at its tail.
+
+    ``BlockStorage`` must hand out the same blocks and keep the same
+    statistics without building the list.
+    """
+
+    def __init__(self, num_blocks: int, sram_buffer_entries: int):
+        self.num_blocks = num_blocks
+        self.sram_buffer_entries = sram_buffer_entries
+        self.layout = BlockStorage(num_blocks=1)  # blocks_for arithmetic only
+        self.free_list = list(range(num_blocks - 1, -1, -1))
+        self.sram_level = min(sram_buffer_entries, num_blocks)
+        self.sram_refills = 0
+        self.allocations = 0
+        self.internal_fragmentation_bytes = 0
+
+    def allocate(self, num_operands: int):
+        needed = self.layout.blocks_for(num_operands)
+        if needed > len(self.free_list):
+            return None
+        blocks = [self.free_list.pop() for _ in range(needed)]
+        self.sram_level -= min(needed, self.sram_level)
+        if self.sram_level == 0 and self.free_list:
+            self.sram_level = min(self.sram_buffer_entries, len(self.free_list))
+            self.sram_refills += 1
+        self.allocations += 1
+        wasted_slots = 4 + (needed - 1) * 5 - num_operands
+        self.internal_fragmentation_bytes += wasted_slots * 128 // 5
+        return blocks[0], blocks[1:]
+
+    def free(self, main_block: int, indirect_blocks) -> None:
+        self.free_list.extend([main_block, *indirect_blocks])
+        self.sram_level = min(self.sram_buffer_entries, len(self.free_list))
+
+
+#: One pool operation: allocate a task with that many operands, or free the
+#: live task at that index (modulo the number of live tasks).
+pool_operation = st.one_of(
+    st.tuples(st.just("allocate"), st.integers(min_value=0, max_value=19)),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=63)),
+)
+
+
 class TestBlockStorageProperties:
+    @given(st.lists(pool_operation, min_size=1, max_size=120),
+           st.integers(min_value=1, max_value=48),
+           st.integers(min_value=1, max_value=16))
+    def test_pool_matches_the_eager_free_list(self, operations, num_blocks,
+                                              sram_entries):
+        storage = BlockStorage(num_blocks=num_blocks,
+                               sram_buffer_entries=sram_entries)
+        model = _EagerFreeList(num_blocks, sram_entries)
+        live = []
+        for kind, value in operations:
+            if kind == "allocate":
+                expected = model.allocate(value)
+                assert storage.can_allocate(value) == (expected is not None)
+                if expected is None:
+                    with pytest.raises(AllocationError):
+                        storage.allocate(value)
+                    continue
+                got = storage.allocate(value)
+                assert got == expected
+                live.append(got)
+            elif live:
+                main, indirect = live.pop(value % len(live))
+                storage.free(main, indirect)
+                model.free(main, indirect)
+            assert storage.free_blocks == len(model.free_list)
+            assert storage.used_blocks == num_blocks - len(model.free_list)
+            assert storage.sram_refills == model.sram_refills
+            assert storage.allocations == model.allocations
+            assert (storage.internal_fragmentation_bytes
+                    == model.internal_fragmentation_bytes)
+
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=60),
            st.integers(min_value=64, max_value=512))
     def test_allocate_free_conserves_blocks(self, operand_counts, num_blocks):

@@ -35,13 +35,13 @@ GENERATOR_MODULES = tuple(
                  "specfem", "stap", "synthetic", "base")
 ) + ("repro.runtime.memory",)
 
-#: Modules a fully cached sweep must not load.  (It does load
-#: ``repro.trace.records``: the trace store imports the packed-trace codec.)
+#: Modules a fully cached sweep must not load.
 CACHED_SWEEP_SKIPS = ("repro.sim", "repro.frontend", "repro.cores",
                       "repro.backend.system", "repro.backend.scheduler",
                       "repro.topology", "repro.software", "repro.memsys",
                       "repro.experiments", "repro.sweep.campaign",
                       "repro.obs", "multiprocessing", "concurrent.futures",
+                      "repro.trace.packed", "repro.trace.records",
                       *GENERATOR_MODULES)
 
 _SWEEP_ARGS = ["sweep", "--workload", "Cholesky",

@@ -576,17 +576,65 @@ print(json.dumps({layer: calls
 """
 
 
+#: Runs the same kind of sweep twice against one trace store, dropping the
+#: in-process trace memo in between; prints each run's ``{layer: calls}``.
+_HARNESS_STORE_SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import spans
+from repro.sweep.runner import trace_cache_clear
+recorder = spans.SpanRecorder()
+spans.install(recorder)
+import repro.cli
+
+def calls():
+    return {{layer: count for layer, (_, count) in recorder.split().items()}}
+
+runs = []
+for _ in range(2):
+    trace_cache_clear()
+    before = calls()
+    code = repro.cli.main(["sweep", "--workload", "Cholesky",
+                           "--workload", "MatMul",
+                           "--axis", "frontend.num_trs=1,2",
+                           "--scale-factor", "0.2", "--max-tasks", "10",
+                           "--fast-generator", "--jobs", "1", "--no-cache",
+                           "--trace-store", {store!r}])
+    assert code == 0, code
+    after = calls()
+    runs.append({{layer: after[layer] - before.get(layer, 0)
+                  for layer in after}})
+print(json.dumps(runs))
+"""
+
+
+def _run_harness(script: str):
+    """Run ``script`` from the repo root; its last stdout line as JSON."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", script],
+                          cwd=root, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 class TestBenchmarkHarnessContract:
     def test_layer_spans_see_the_in_process_sweep(self):
         """The names ``perfbench/`` patches and imports keep existing, and
         the runner calls ``execute_point`` by its module-global name."""
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        done = subprocess.run([sys.executable, "-c", _HARNESS_SCRIPT],
-                              cwd=root, env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        calls = json.loads(done.stdout.strip().splitlines()[-1])
+        calls = _run_harness(_HARNESS_SCRIPT)
         assert calls["sweep.runner"] == 1
         assert calls["sweep.execute_point"] == 2
         assert calls["sim.module"] > 0
+
+    def test_trace_loads_go_through_the_store_module(self, tmp_path):
+        """A sweep served by the packed trace store reads each distinct
+        trace once through ``repro.trace.store.read_packed``, the name the
+        harness wraps for its ``trace.load`` span."""
+        first, second = _run_harness(
+            _HARNESS_STORE_SCRIPT.format(store=str(tmp_path / "traces")))
+        assert first["sweep.execute_point"] == 4
+        assert second["sweep.execute_point"] == 4
+        # Two workloads, one trace each: both are in the store by now.
+        assert second["trace.load"] == 2
